@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", "-i", required=True, help="input JSON (or fixture:NAME)")
         p.add_argument("--output", "-o", default="-", help="output path, '-' for stdout")
         p.add_argument("--verify", action="store_true", help="enable runtime stability assertions")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for the output tuple")
 
     p_compute = sub.add_parser("compute", help="compute the output monodromy tuple")
     common(p_compute)
@@ -90,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_compute(args) -> int:
     fd = load_fundamental_data(_resolve_input(args.input))
-    result = radon_transform(fd, verify=args.verify, jobs=args.jobs)
+    result = radon_transform(fd, verify=args.verify)
     _warn(result.validation.warnings)
     _write_output(dump_json(result_to_dict(result)), args.output)
     return 0
@@ -114,7 +113,7 @@ def cmd_check(args) -> int:
         "relations_ok": None,
     }
     if report.product_ok and fd.relations:
-        result = radon_transform(fd, verify=args.verify, jobs=args.jobs)
+        result = radon_transform(fd, verify=args.verify)
         doc["relations_ok"] = check_relations(result.gtilde, fd.relations)
     elif report.product_ok:
         doc["relations_ok"] = True
@@ -124,7 +123,7 @@ def cmd_check(args) -> int:
 
 def cmd_group(args) -> int:
     fd = load_fundamental_data(_resolve_input(args.input))
-    result = radon_transform(fd, verify=args.verify, jobs=args.jobs)
+    result = radon_transform(fd, verify=args.verify)
     _warn(result.validation.warnings)
     doc = result_to_dict(result)
     gens = list(result.gtilde)
@@ -135,7 +134,7 @@ def cmd_group(args) -> int:
         enum = closure(gens, cap=args.cap)
         group_doc.update({"mode": "exact", "status": enum.status, "order": enum.order})
         if enum.complete:
-            series = derived_series(gens, cap=args.cap)
+            series = derived_series(enum)
             group_doc["derived_series"] = series
             group_doc["solvable"] = series[-1] == 1
     else:

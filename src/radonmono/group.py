@@ -1,17 +1,25 @@
 """Finite matrix group analysis: closure, derived series, spinning, scalars.
 
-Exact breadth-first closure with canonical hashing works over any FieldSpec
-and is the reference path.  For cyclotomic or rational generators there is a
-fast modular path: map the root of unity to an element of the same order in
-GF(p) for a prime p = 1 mod m, enumerate with numpy matrices mod p, and
-require agreement across two primes.  For p > 2 not dividing any generator
-denominator the reduction is injective on finite groups, so the modular
-order is the exact order whenever the generators embed.
+One breadth-first enumeration, `_Enumeration`, serves every group order.  It
+runs over a backend of four operations (identity, batch multiply, key,
+inverse): exact `Matrix` arithmetic with canonical keys over any FieldSpec,
+the reference path, or int64 numpy matrices mod p.  `add(g)` ignores a member
+and otherwise searches only from the new elements, so the derived series grows
+each derived subgroup in place: by commutators, then by conjugates until it is
+normal.
+
+For cyclotomic or rational generators the modular path maps the root of unity
+to an element of the same order in GF(p) for an odd prime p = 1 mod m,
+enumerates mod p, and requires agreement across distinct primes.  For p > 2
+not dividing any generator denominator the reduction is injective on finite
+groups, so the modular order is the exact order whenever the generators embed.
+Over GF(p) the only prime is p itself, and the enumeration is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,9 +32,10 @@ from .errors import (
     NonInvertibleGenerator,
     OrderDisagreement,
     ShapeMismatch,
+    Singular,
     ZeroSeed,
 )
-from .field import FieldElement, FieldSpec, cyclotomic_polynomial, is_prime
+from .field import FieldElement, FieldSpec, _factorize, cyclotomic_polynomial, is_prime
 from .linalg import Matrix, Subspace, hstack, image, kernel, row_times_matrix, subspace_sum
 
 __all__ = [
@@ -83,7 +92,7 @@ class ClosureResult:
     status: str  # "complete" or "cap_exceeded"
     order: int | None
     keys: frozenset[bytes] | None = None
-    elements: tuple[Matrix, ...] | None = None
+    enumeration: _Enumeration | None = field(default=None, repr=False)  # reused by derived_series
 
     @property
     def complete(self) -> bool:
@@ -96,33 +105,136 @@ def _as_generators(gens) -> MatrixGroupGen:
     return MatrixGroupGen.from_matrices(list(gens))
 
 
-def closure(gens, cap: int = DEFAULT_CAP, retain_elements: bool = False) -> ClosureResult:
+# -- the enumeration engine and its two backends ------------------------------------
+
+
+class _ExactOps:
+    """Exact `Matrix` arithmetic over the generators' field."""
+
+    def __init__(self, spec: FieldSpec, degree: int):
+        self.spec, self.degree = spec, degree
+
+    def identity(self) -> Matrix:
+        return Matrix.identity(self.spec, self.degree)
+
+    def times(self, elements, g: Matrix) -> list[Matrix]:
+        return [el * g for el in elements]
+
+    def key(self, mat: Matrix) -> bytes:
+        return mat.canonical_key()
+
+    def inverse(self, mat: Matrix) -> Matrix:
+        return mat.inverse()
+
+
+class _ModpOps:
+    """int64 numpy matrices with entries in 0..p-1."""
+
+    def __init__(self, p: int, degree: int):
+        self.p, self.degree = p, degree
+
+    def identity(self) -> np.ndarray:
+        return np.eye(self.degree, dtype=np.int64)
+
+    def times(self, elements, g: np.ndarray) -> np.ndarray:
+        return np.stack(elements) @ g % self.p
+
+    def key(self, mat: np.ndarray) -> bytes:
+        return mat.tobytes()
+
+    def inverse(self, mat: np.ndarray) -> np.ndarray:
+        try:
+            inv = Matrix.from_ints(FieldSpec.prime(self.p), mat.tolist()).inverse()
+        except Singular:
+            raise NonInvertibleGenerator(f"singular generator mod {self.p}") from None
+        return reduce_matrix_modp(inv, self.p)
+
+
+class _Enumeration:
+    """All elements of the group generated by everything passed to `add`.
+
+    `gens` holds only the generators that enlarged the group, and `inverses`
+    their inverses.  More than `cap` elements raise CapExceeded.
+    """
+
+    def __init__(self, ops, cap: int, gens=()):
+        ident = ops.identity()
+        self.ops, self.cap = ops, cap
+        self.elements = [ident]
+        self.keys = {ops.key(ident)}
+        self.gens: list = []
+        self.inverses: list = []
+        for g in gens:
+            self.add(g)
+
+    def add(self, g) -> None:
+        """Extend the group by g; a member changes nothing.
+
+        Every old element times g seeds the search, and only the new elements
+        it finds are multiplied by all generators, so no old product is redone.
+        """
+        ops = self.ops
+        if ops.key(g) in self.keys:
+            return
+        self.inverses.append(ops.inverse(g))  # also rejects a singular g
+        self.gens.append(g)
+        frontier, step = self.elements[:], [g]
+        while frontier:
+            new = []
+            for gen in step:
+                for prod in ops.times(frontier, gen):
+                    key = ops.key(prod)
+                    if key not in self.keys:
+                        if len(self.elements) >= self.cap:
+                            raise CapExceeded(f"group enumeration exceeded the cap of {self.cap}")
+                        self.keys.add(key)
+                        self.elements.append(prod)
+                        new.append(prod)
+            frontier, step = new, self.gens
+
+
+def _product(ops, first, *rest):
+    for mat in rest:
+        first = ops.times([first], mat)[0]
+    return first
+
+
+def _derived_series(group: _Enumeration) -> list[int]:
+    """Orders of the group and its successive derived subgroups.
+
+    The derived subgroup is the normal closure of the commutators of the
+    generators: it is grown by those commutators, then by the conjugates of
+    each of its generators by each generator of the group until none is new.
+    The list stops at order 1 (solvable) or when the order stabilizes
+    (perfect derived subgroup).
+    """
+    ops = group.ops
+    orders = [len(group.elements)]
+    while orders[-1] != 1:
+        pairs = list(zip(group.gens, group.inverses))
+        sub = _Enumeration(ops, group.cap)
+        for (a, a_inv), (b, b_inv) in itertools.combinations(pairs, 2):
+            sub.add(_product(ops, a_inv, b_inv, a, b))
+        for s in sub.gens:  # sub.gens grows during the loop
+            for g, g_inv in pairs:
+                sub.add(_product(ops, g_inv, s, g))
+        orders.append(len(sub.elements))
+        if orders[-1] == orders[-2]:
+            break
+        group = sub
+    return orders
+
+
+def closure(gens, cap: int = DEFAULT_CAP) -> ClosureResult:
     """Exact BFS closure of the generated group, up to `cap` elements."""
     group = _as_generators(gens)
     if cap < 1:
         raise CapExceeded("cap must be >= 1")
-    ident = Matrix.identity(group.spec, group.degree)
-    seen: dict[bytes, Matrix] = {ident.canonical_key(): ident}
-    frontier = [ident]
-    while frontier:
-        new: list[Matrix] = []
-        for gen in group.generators:
-            for el in frontier:
-                prod = el * gen
-                key = prod.canonical_key()
-                if key not in seen:
-                    seen[key] = prod
-                    new.append(prod)
-                    if len(seen) > cap:
-                        return ClosureResult(status="cap_exceeded", order=None)
-        frontier = new
-    elements = tuple(seen.values()) if retain_elements else None
-    return ClosureResult(
-        status="complete",
-        order=len(seen),
-        keys=frozenset(seen.keys()),
-        elements=elements,
-    )
+    try:
+        enum = _Enumeration(_ExactOps(group.spec, group.degree), cap, group.generators)
+    except CapExceeded:
+        return ClosureResult(status="cap_exceeded", order=None)
+    return ClosureResult("complete", len(enum.elements), frozenset(enum.keys), enum)
 
 
 def contains_scalar(result: ClosureResult, lam: FieldElement, degree: int) -> bool:
@@ -135,63 +247,16 @@ def contains_scalar(result: ClosureResult, lam: FieldElement, degree: int) -> bo
 
 
 def derived_series(gens, cap: int = DEFAULT_CAP) -> list[int]:
-    """Orders of the group and its successive derived subgroups.
+    """Orders of the group and its successive derived subgroups (exact).
 
-    Each derived subgroup is generated by commutators of the previous
-    stage's generators, closed under conjugation to make it normal, and
-    enumerated by BFS.  The list stops at order 1 (solvable) or when the
-    order stabilizes (perfect derived subgroup).
+    `gens` may also be a result of `closure`, whose enumeration is then
+    continued instead of repeated.  The list stops at order 1 (solvable) or
+    when the order stabilizes (perfect derived subgroup).
     """
-    group = _as_generators(gens)
-    first = closure(group, cap=cap)
+    first = gens if isinstance(gens, ClosureResult) else closure(gens, cap=cap)
     if not first.complete:
         raise CapExceeded("closure exceeded the cap")
-    orders = [first.order]
-    current = list(group.generators)
-    while orders[-1] != 1:
-        commutator_gens = _commutator_generators(current, group.spec, group.degree, cap)
-        if not commutator_gens:
-            orders.append(1)
-            break
-        sub = closure(MatrixGroupGen(group.spec, group.degree, tuple(commutator_gens)), cap=cap)
-        if not sub.complete:
-            raise CapExceeded("derived subgroup closure exceeded the cap")
-        orders.append(sub.order)
-        if sub.order == orders[-2]:
-            break
-        current = commutator_gens
-    return orders
-
-
-def _commutator_generators(gens: list[Matrix], spec, degree, cap) -> list[Matrix]:
-    # Deduplicated [a, b] = a^-1 b^-1 a b plus conjugates needed for normality.
-    seen: dict[bytes, Matrix] = {}
-    inverses = [g.inverse() for g in gens]
-    for i, a in enumerate(gens):
-        for j, b in enumerate(gens):
-            if i == j:
-                continue
-            c = inverses[i] * inverses[j] * a * b
-            if not c.is_identity():
-                seen.setdefault(c.canonical_key(), c)
-    if not seen:
-        return []
-    sub_gens = list(seen.values())
-    while True:
-        enum = closure(MatrixGroupGen(spec, degree, tuple(sub_gens)), cap=cap)
-        if not enum.complete:
-            raise CapExceeded("normal closure exceeded the cap")
-        missing = []
-        for g, g_inv in zip(gens, inverses):
-            for s in sub_gens:
-                conj = g_inv * s * g
-                if conj.canonical_key() not in enum.keys:
-                    missing.append(conj)
-        if not missing:
-            return sub_gens
-        for m in missing:
-            seen.setdefault(m.canonical_key(), m)
-        sub_gens = list(seen.values())
+    return _derived_series(first.enumeration)
 
 
 # -- invariant subspaces ----------------------------------------------------------
@@ -310,17 +375,7 @@ def root_of_unity_modp(m: int, p: int) -> int:
         raise BadPrime(f"{p} is not 1 mod {m}")
     if m == 1:
         return 1
-    prime_divisors = set()
-    mm = m
-    q = 2
-    while q * q <= mm:
-        if mm % q == 0:
-            prime_divisors.add(q)
-            while mm % q == 0:
-                mm //= q
-        q += 1
-    if mm > 1:
-        prime_divisors.add(mm)
+    prime_divisors = _factorize(m)
     for a in range(2, p):
         if pow(a, m, p) != 1:
             continue
@@ -364,173 +419,33 @@ def reduce_matrix_modp(mat: Matrix, p: int, root: int | None = None) -> np.ndarr
     return np.array(data, dtype=np.int64)
 
 
-def _modp_det(mat: np.ndarray, p: int) -> int:
-    work = [[int(x) % p for x in row] for row in mat]
-    n = len(work)
-    det = 1
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if work[i][col] % p:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col] % p
-        inv = pow(work[col][col], -1, p)
-        for i in range(col + 1, n):
-            f = work[i][col] * inv % p
-            if f:
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[col])]
-    return det % p
-
-
-def _modp_inverse(mat: np.ndarray, p: int) -> np.ndarray:
-    n = mat.shape[0]
-    work = [[int(x) % p for x in row] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if work[i][col] % p:
-                pivot = i
-                break
-        if pivot is None:
-            raise NonInvertibleGenerator("singular matrix mod p")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = pow(work[col][col], -1, p)
-        work[col] = [x * inv % p for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[col])]
-    return np.array([row[n:] for row in work], dtype=np.int64)
-
-
-@dataclass
-class ModpClosure:
-    p: int
-    degree: int
-    status: str
-    order: int | None
-    index: dict
-    elements: list
-
-
-def _modp_closure(gens: list[np.ndarray], p: int, cap: int) -> ModpClosure:
-    d = gens[0].shape[0]
-    unique: list[np.ndarray] = []
-    seen_gen = set()
-    for g in gens:
-        g = np.ascontiguousarray(g % p, dtype=np.int64)
-        key = g.tobytes()
-        if key not in seen_gen:
-            if _modp_det(g, p) == 0:
-                raise NonInvertibleGenerator("singular generator mod p")
-            seen_gen.add(key)
-            unique.append(g)
-    ident = np.ascontiguousarray(np.eye(d, dtype=np.int64))
-    index: dict[bytes, int] = {ident.tobytes(): 0}
-    elements = [ident]
-    frontier = [ident]
-    while frontier:
-        block = np.stack(frontier)
-        new: list[np.ndarray] = []
-        for g in unique:
-            prods = np.ascontiguousarray(block @ g % p)
-            for row in prods:
-                key = row.tobytes()
-                if key not in index:
-                    if len(elements) >= cap:
-                        return ModpClosure(p, d, "cap_exceeded", None, index, elements)
-                    index[key] = len(elements)
-                    elements.append(row)
-                    new.append(row)
-        frontier = new
-    return ModpClosure(p, d, "complete", len(elements), index, elements)
-
-
-def _modp_commutator_generators(gens: list[np.ndarray], p: int, cap: int) -> list[np.ndarray]:
-    seen: dict[bytes, np.ndarray] = {}
-    d = gens[0].shape[0]
-    ident_key = np.eye(d, dtype=np.int64).tobytes()
-    inverses = [_modp_inverse(g, p) for g in gens]
-    for i in range(len(gens)):
-        for j in range(len(gens)):
-            if i == j:
-                continue
-            c = np.ascontiguousarray(inverses[i] @ inverses[j] @ gens[i] @ gens[j] % p)
-            key = c.tobytes()
-            if key != ident_key:
-                seen.setdefault(key, c)
-    if not seen:
-        return []
-    # Greedy generating subset, then force normality under the parent gens.
-    sub: list[np.ndarray] = []
-    enum = _modp_closure([np.eye(d, dtype=np.int64)], p, cap)
-    for c in seen.values():
-        if c.tobytes() not in enum.index:
-            sub.append(c)
-            enum = _modp_closure(sub, p, cap)
-            if enum.status != "complete":
-                raise CapExceeded("derived subgroup closure exceeded the cap")
-    while True:
-        missing = []
-        for g, g_inv in zip(gens, inverses):
-            for s in sub:
-                conj = np.ascontiguousarray(g_inv @ s @ g % p)
-                if conj.tobytes() not in enum.index:
-                    missing.append(conj)
-        if not missing:
-            return sub
-        for mat in missing:
-            key = mat.tobytes()
-            if key not in {s.tobytes() for s in sub}:
-                sub.append(mat)
-        enum = _modp_closure(sub, p, cap)
-        if enum.status != "complete":
-            raise CapExceeded("normal closure exceeded the cap")
-
-
-def _modp_derived_series(gens: list[np.ndarray], p: int, cap: int) -> list[int]:
-    enum = _modp_closure(gens, p, cap)
-    if enum.status != "complete":
-        raise CapExceeded("closure exceeded the cap")
-    orders = [enum.order]
-    current = gens
-    while orders[-1] != 1:
-        sub = _modp_commutator_generators(current, p, cap)
-        if not sub:
-            orders.append(1)
-            break
-        enum = _modp_closure(sub, p, cap)
-        if enum.status != "complete":
-            raise CapExceeded("derived subgroup closure exceeded the cap")
-        orders.append(enum.order)
-        if enum.order == orders[-2]:
-            break
-        current = sub
-    return orders
-
-
-def _modp_scalar_exponents(enum: ModpClosure, spec: FieldSpec, root: int | None) -> list[int]:
+def _modp_scalar_exponents(enum: _Enumeration, spec: FieldSpec, root: int | None) -> list[int]:
     # Exponents k with (root of unity)^k * identity in the group; rational
     # generators are scanned against +-1, prime-field generators skipped.
+    p = enum.ops.p
     if spec.kind == "cyclotomic":
         m, base = spec.m, root
     elif spec.kind == "rational":
-        m, base = 2, enum.p - 1
+        m, base = 2, p - 1
     else:
         return []
-    out = []
-    for k in range(m):
-        scalar = pow(base, k, enum.p)
-        mat = np.ascontiguousarray(np.eye(enum.degree, dtype=np.int64) * scalar % enum.p)
-        if mat.tobytes() in enum.index:
-            out.append(k)
-    return out
+    ident = enum.ops.identity()
+    return [k for k in range(m) if enum.ops.key(ident * pow(base, k, p) % p) in enum.keys]
+
+
+def _modp_entry(group: MatrixGroupGen, p: int, cap: int, with_derived: bool) -> dict:
+    # One prime per call, so each enumeration is freed before the next starts.
+    root = root_of_unity_modp(group.spec.m, p) if group.spec.kind == "cyclotomic" else None
+    reduced = [reduce_matrix_modp(g, p, root) for g in group.generators]
+    enum = _Enumeration(_ModpOps(p, group.degree), cap, reduced)
+    entry = {
+        "prime": p,
+        "order": len(enum.elements),
+        "scalar_exponents": _modp_scalar_exponents(enum, group.spec, root),
+    }
+    if with_derived:
+        entry["derived_series"] = _derived_series(enum)
+    return entry
 
 
 def modular_order(gens, primes: Sequence[int], cap: int = DEFAULT_CAP) -> int:
@@ -547,27 +462,22 @@ def modular_group_analysis(
 ) -> dict:
     """Order, derived series and scalar content over several modular primes.
 
-    Raises OrderDisagreement when the primes disagree on any computed value;
-    callers should fall back to the exact closure in that case.
+    The primes must be distinct, with degree * (p - 1)^2 < 2^63 so that int64
+    products are exact; over Q and Q(zeta_m) they must be odd primes, over
+    GF(p) the only prime is p.  Raises OrderDisagreement when the primes
+    disagree on any computed value.
     """
     group = _as_generators(gens)
     if not primes:
         raise BadPrime("no primes supplied")
-    per_prime = []
+    if len(set(primes)) != len(primes):
+        raise BadPrime(f"repeated prime in {list(primes)}")
     for p in primes:
-        root = root_of_unity_modp(group.spec.m, p) if group.spec.kind == "cyclotomic" else None
-        reduced = [reduce_matrix_modp(g, p, root) for g in group.generators]
-        enum = _modp_closure(reduced, p, cap)
-        if enum.status != "complete":
-            raise CapExceeded(f"closure exceeded the cap mod {p}")
-        entry = {
-            "prime": p,
-            "order": enum.order,
-            "scalar_exponents": _modp_scalar_exponents(enum, group.spec, root),
-        }
-        if with_derived:
-            entry["derived_series"] = _modp_derived_series(reduced, p, cap)
-        per_prime.append(entry)
+        if group.spec.kind != "prime" and (not is_prime(p) or p == 2):
+            raise BadPrime(f"{p} is not an odd prime")
+        if group.degree * (p - 1) ** 2 >= 2**63:
+            raise BadPrime(f"{p} is too large for int64 products in degree {group.degree}")
+    per_prime = [_modp_entry(group, p, cap, with_derived) for p in primes]
     first = per_prime[0]
     for other in per_prime[1:]:
         for key in ("order", "scalar_exponents", "derived_series"):
@@ -587,7 +497,9 @@ def modular_group_analysis(
 
 
 def default_modular_primes(spec: FieldSpec, count: int = 2) -> list[int]:
-    """The smallest odd primes p with p = 1 mod m (m = 1 outside cyclotomic)."""
+    """[p] over GF(p); otherwise the smallest odd primes p = 1 mod m (m = 1 over Q)."""
+    if spec.kind == "prime":
+        return [spec.p]
     m = spec.m if spec.kind == "cyclotomic" else 1
     out: list[int] = []
     p = 3

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -137,25 +136,14 @@ def radon_rank(fd: FundamentalData) -> int:
     return fd.n * (fd.r - 2) - fixed
 
 
-def _phibar_job(args):
-    g, word_letters, ts, verify = args
-    return phibar(g, word_letters, ts, verify=verify)
-
-
-def radon_transform(fd: FundamentalData, verify: bool = False, jobs: int = 1) -> RadonResult:
+def radon_transform(fd: FundamentalData, verify: bool = False) -> RadonResult:
     """Compute the output monodromy tuple in the deterministic flag basis."""
     report = validate(fd)
     if not report.product_ok:
         raise ProductNotIdentity("ordered product of the tuple is not the identity")
     ts = trafodat(fd.g)
     words = fd.words()
-    if jobs > 1 and len(words) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            gtilde = tuple(
-                pool.map(_phibar_job, [(fd.g, w.letters, ts, verify) for w in words])
-            )
-    else:
-        gtilde = tuple(phibar(fd.g, w, ts, verify=verify) for w in words)
+    gtilde = tuple(phibar(fd.g, w, ts, verify=verify) for w in words)
 
     rank = radon_rank(fd)
     rank_matches = rank == ts.dim_w

@@ -47,12 +47,6 @@ def test_compute_output_file(tmp_path):
     assert doc["dims"]["W"] == 2
 
 
-def test_compute_jobs_flag_deterministic():
-    _, out1, _ = run_cli(["compute", "--input", "fixture:four_lines"])
-    _, out2, _ = run_cli(["compute", "--input", "fixture:four_lines", "--jobs", "2"])
-    assert out1 == out2
-
-
 def test_rank_outputs():
     code, out, _ = run_cli(["rank", "--input", "fixture:four_lines"])
     assert code == 0 and out == "2\n"
@@ -141,3 +135,23 @@ def test_main_function_direct(capsys):
 def test_unknown_fixture_is_input_error():
     code, _, err = run_cli(["rank", "--input", "fixture:missing"])
     assert code == 2
+
+
+def test_group_rejects_repeated_prime():
+    code, out, err = run_cli(["group", "--input", "fixture:four_lines", "--primes", "7,7"])
+    assert code == 2 and out == ""
+    assert "repeated prime" in err
+
+
+def test_group_prime_field_input(tmp_path, four_lines_doc):
+    doc = json.loads(json.dumps(four_lines_doc))
+    doc["field"] = {"kind": "prime", "p": 5}
+    path = tmp_path / "four_lines_gf5.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["group", "--input", str(path)])
+    assert code == 0, err
+    group = json.loads(out)["group"]
+    assert group["mode"] == "modular" and group["primes"] == [5]
+    # SL(2, 5), which is perfect
+    assert group["order"] == 120 and group["derived_series"] == [120, 120]
+    assert group["solvable"] is False

@@ -18,6 +18,7 @@ from radonmono.group import (
     derived_series,
     fixed_subspace,
     invariant_decomposition,
+    modular_group_analysis,
     modular_order,
     moving_subspace,
     reduce_matrix_modp,
@@ -185,6 +186,7 @@ def test_default_modular_primes():
     assert default_modular_primes(Q6) == [7, 13]
     assert default_modular_primes(FieldSpec.rational()) == [3, 5]
     assert default_modular_primes(FieldSpec.cyclotomic(4)) == [5, 13]
+    assert default_modular_primes(GF7) == [7]
 
 
 def test_matrix_group_gen_validation():
@@ -207,3 +209,105 @@ def test_derived_series_lagrange_property():
     series = derived_series(mats, cap=200000)
     for larger, smaller in zip(series, series[1:]):
         assert larger % smaller == 0 and smaller <= larger
+
+
+# -- one engine, exact and mod p ---------------------------------------------------
+
+Q = FieldSpec.rational()
+
+
+def permutation_matrix(spec, perm):
+    d = len(perm)
+    return Matrix.from_ints(spec, [[1 if perm[i] == j else 0 for j in range(d)] for i in range(d)])
+
+
+def s4_generators(spec=Q):
+    return [permutation_matrix(spec, (1, 0, 2, 3)), permutation_matrix(spec, (1, 2, 3, 0))]
+
+
+def a5_generators(spec=Q):
+    return [permutation_matrix(spec, (1, 2, 3, 4, 0)), permutation_matrix(spec, (1, 2, 0, 3, 4))]
+
+
+def test_engine_s4_series_exact_and_modular():
+    gens = s4_generators()
+    assert derived_series(gens) == [24, 12, 4, 1]
+    analysis = modular_group_analysis(gens, [5, 7])
+    assert analysis["order"] == 24
+    assert analysis["derived_series"] == [24, 12, 4, 1]
+    assert analysis["solvable"] is True
+
+
+def test_engine_a5_is_perfect_exact_and_modular():
+    gens = a5_generators()
+    assert derived_series(gens) == [60, 60]
+    analysis = modular_group_analysis(gens, [3, 5])
+    assert analysis["derived_series"] == [60, 60]
+    assert analysis["solvable"] is False
+
+
+def test_engine_repeated_and_redundant_generators():
+    a, b = s4_generators()
+    ident = Matrix.identity(Q, 4)
+    noisy = [a, a, b, a * b, ident, b * b * b, b.inverse(), a]
+    assert closure(noisy).order == 24
+    assert derived_series(noisy) == [24, 12, 4, 1]
+    assert modular_group_analysis(noisy, [5, 7])["derived_series"] == [24, 12, 4, 1]
+    assert derived_series([ident, ident]) == [1]
+
+
+def test_engine_cap_boundary():
+    gens = s4_generators()
+    assert closure(gens, cap=24).order == 24
+    assert closure(gens, cap=23).status == "cap_exceeded"
+    assert derived_series(gens, cap=24) == [24, 12, 4, 1]
+    with pytest.raises(CapExceeded):
+        derived_series(gens, cap=23)
+    # a closure result is continued, not enumerated again
+    assert derived_series(closure(gens, cap=24)) == [24, 12, 4, 1]
+    with pytest.raises(CapExceeded):
+        derived_series(closure(gens, cap=23))
+    assert modular_group_analysis(gens, [5, 7], cap=24)["order"] == 24
+    with pytest.raises(CapExceeded):
+        modular_group_analysis(gens, [5, 7], cap=23)
+
+
+def test_modular_rejects_generator_singular_mod_p():
+    three = Matrix.from_ints(Q, [[3]])
+    with pytest.raises(NonInvertibleGenerator):
+        modular_order([three], [5, 3])
+
+
+def test_modular_prime_rules():
+    shear = Matrix.from_ints(Q, [[1, 1], [0, 1]])
+    for primes in ([7, 7], [4, 9], [2, 3], [3, 1], [4000000007, 4000000009]):
+        with pytest.raises(BadPrime):
+            modular_group_analysis([shear], primes)
+    gf7 = [Matrix.from_ints(GF7, [[1, 1], [0, 1]])]
+    assert modular_group_analysis(gf7, [7])["derived_series"] == [7, 1]
+    with pytest.raises(BadPrime):
+        modular_group_analysis(gf7, [5])
+
+
+def _random_permutations(seed):
+    rng = random.Random(seed)
+    degree = rng.randint(2, 6)
+    perms = []
+    for _ in range(rng.randint(1, 3)):
+        perm = list(range(degree))
+        rng.shuffle(perm)
+        perms.append(perm)
+    return perms
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_derived_series_against_sympy(seed):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    perms = _random_permutations(seed)
+    group = combinatorics.PermutationGroup([combinatorics.Permutation(p) for p in perms])
+    expected = [g.order() for g in group.derived_series()]
+    if expected[-1] != 1:
+        expected.append(expected[-1])  # a perfect subgroup ends our series twice
+    assert derived_series([permutation_matrix(GF7, p) for p in perms]) == expected
+    assert derived_series([permutation_matrix(Q, p) for p in perms]) == expected
+    assert modular_group_analysis([permutation_matrix(Q, p) for p in perms], [3, 5])["derived_series"] == expected

@@ -191,11 +191,6 @@ def test_result_dict_schema(four_lines_result):
     assert doc["report"]["product_ok"] is True
 
 
-def test_parallel_jobs_identical(four_lines_fd, four_lines_result):
-    res2 = radon_transform(four_lines_fd, jobs=2)
-    assert res2.gtilde == four_lines_result.gtilde
-
-
 def test_zariski_transcription_normalized():
     # re-print the transcribed braid words in normalized grammar for diffing
     from radonmono.braid import braid_text
