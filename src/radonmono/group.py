@@ -36,7 +36,7 @@ from .errors import (
     ZeroSeed,
 )
 from .field import FieldElement, FieldSpec, _factorize, cyclotomic_polynomial, is_prime
-from .linalg import Matrix, Subspace, hstack, image, kernel, row_times_matrix, subspace_sum
+from .linalg import Matrix, Subspace, _Echelon, hstack, image, kernel, row_times_matrix, subspace_sum, vstack
 
 __all__ = [
     "MatrixGroupGen",
@@ -69,8 +69,10 @@ class MatrixGroupGen:
 
     @classmethod
     def from_matrices(cls, gens: Sequence[Matrix]) -> "MatrixGroupGen":
+        """Validated generators; a repeated generator keeps its first occurrence only."""
         if not gens:
             raise ShapeMismatch("no generators")
+        gens = tuple(dict.fromkeys(gens))
         spec = gens[0].spec
         d = gens[0].rows
         for g in gens:
@@ -80,9 +82,9 @@ class MatrixGroupGen:
                 raise ShapeMismatch("generators must be square of equal size")
             try:
                 g.inverse()
-            except Exception:
+            except Singular:
                 raise NonInvertibleGenerator("generator is singular") from None
-        return cls(spec=spec, degree=d, generators=tuple(gens))
+        return cls(spec=spec, degree=d, generators=gens)
 
 
 @dataclass
@@ -273,18 +275,15 @@ def spin(gens, seed: Sequence[FieldElement]) -> Subspace:
 def spin_subspace(gens, seed_space: Subspace) -> Subspace:
     """Smallest generator-stable subspace containing a whole subspace."""
     group = _as_generators(gens)
-    current = seed_space
-    queue = [list(row) for row in seed_space.basis.entries]
-    rows = [list(row) for row in seed_space.basis.entries]
+    ech = _Echelon(seed_space.basis.entries)
+    queue = list(seed_space.basis.entries)
     while queue:
         vec = queue.pop()
         for gen in group.generators:
             img = row_times_matrix(vec, gen)
-            if not current.contains_vector(img):
-                rows.append(list(img))
-                current = Subspace.from_rows(group.spec, group.degree, rows)
-                queue.append(list(img))
-    return current
+            if ech.add(img):
+                queue.append(img)
+    return ech.subspace(group.spec, group.degree)
 
 
 def fixed_subspace(gens) -> Subspace:
@@ -303,12 +302,7 @@ def moving_subspace(gens) -> Subspace:
     """
     group = _as_generators(gens)
     ident = Matrix.identity(group.spec, group.degree)
-    total = Subspace.zero(group.spec, group.degree)
-    for g in group.generators:
-        total = subspace_sum(total, image(g - ident))
-    if total.dim == 0:
-        return total
-    return spin_subspace(group, total)
+    return spin_subspace(group, image(vstack([g - ident for g in group.generators])))
 
 
 def restricted_tuple(gens, space: Subspace) -> list[Matrix]:

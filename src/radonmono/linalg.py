@@ -2,12 +2,18 @@
 
 Linear maps act on row vectors from the right: v maps to v*A.  Consequently
 image(A) is the row space of A and kernel(A) is the left kernel
-{v : v*A = 0}.  Subspaces are stored as reduced row echelon bases, so two
-equal subspaces have structurally identical representations.
+{v : v*A = 0}.
+
+All elimination is one incremental echelon, `_Echelon`, grown a row at a
+time and kept in reduced row echelon form: each row has a leading one at its
+pivot and zeros at every other pivot, and the rows are sorted by pivot.
+Subspaces are stored as such bases, so equal subspaces have structurally
+identical representations.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -81,22 +87,6 @@ class Matrix:
         return cls(spec, tuple(tuple(scalars[i] if i == j else z for j in range(n)) for i in range(n)))
 
     # -- basics ----------------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[FieldElement, ...]:
-        return self.entries[i]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.spec,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-            cols=self.rows,
-        )
-
-    def map_entries(self, fn) -> "Matrix":
-        return Matrix(self.spec, tuple(tuple(fn(e) for e in row) for row in self.entries), cols=self.cols)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -190,32 +180,17 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise ShapeMismatch("inverse of a non-square matrix")
+        # The rows of [A | I] reduce to [I | A^-1]; a pivot in the right half
+        # means the rows of A added so far are dependent.
         n = self.rows
-        one, zero = self.spec.one(), self.spec.zero()
-        work = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = None
-            for i in range(col, n):
-                if not work[i][col].is_zero():
-                    pivot = i
-                    break
-            if pivot is None:
+        ech = _Echelon()
+        for row in hstack([self, Matrix.identity(self.spec, n)]).entries:
+            ech.add(row)
+            if ech.pivots[-1] >= n:
                 raise Singular("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = work[col][col].inverse()
-            work[col] = [e * inv for e in work[col]]
-            for i in range(n):
-                if i != col and not work[i][col].is_zero():
-                    f = work[i][col]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-        return Matrix(self.spec, tuple(tuple(row[n:]) for row in work), cols=n)
+        return Matrix(self.spec, tuple(tuple(row[n:]) for row in ech.rows), cols=n)
 
     # -- structure ops -----------------------------------------------------------
-
-    def rref(self) -> tuple["Matrix", tuple[int, ...], int]:
-        rows = [list(r) for r in self.entries]
-        red, pivots, rank = _rref_rows(rows)
-        return Matrix(self.spec, tuple(tuple(r) for r in red), cols=self.cols), pivots, rank
 
     def insert_block(self, block: "Matrix", row1: int, col1: int) -> "Matrix":
         """Copy of self with `block` written at 1-based offsets (row1, col1)."""
@@ -242,12 +217,6 @@ class Matrix:
             tuple(tuple(self.entries[r0 + i][c0 : c0 + width]) for i in range(height)),
             cols=width,
         )
-
-    def direct_sum(self, other: "Matrix") -> "Matrix":
-        self._check_spec(other)
-        out = Matrix.zero(self.spec, self.rows + other.rows, self.cols + other.cols)
-        out = out.insert_block(self, 1, 1)
-        return out.insert_block(other, self.rows + 1, self.cols + 1)
 
     # -- identity ------------------------------------------------------------------
 
@@ -277,37 +246,63 @@ class Matrix:
         return f"<Matrix {self.rows}x{self.cols} over {self.spec.label()}>"
 
 
-def _rref_rows(rows: list[list[FieldElement]]) -> tuple[list[list[FieldElement]], tuple[int, ...], int]:
-    if not rows:
-        return rows, (), 0
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
+def _reduce(rows: Sequence[Sequence[FieldElement]], pivots: Sequence[int], vector: Sequence[FieldElement]) -> list[FieldElement]:
+    """The vector minus its multiples of the echelon rows, one per pivot."""
+    w = list(vector)
+    for row, p in zip(rows, pivots):
+        f = w[p]
+        if not f.is_zero():
+            w = [a - f * b for a, b in zip(w, row)]
+    return w
+
+
+class _Echelon:
+    """A reduced row echelon basis grown one vector at a time.
+
+    Each row has a leading one at its pivot and zeros at every other pivot,
+    and the rows are sorted by pivot, so the basis is the RREF of the span.
+    """
+
+    def __init__(self, rows: Iterable[Sequence[FieldElement]] = ()):
+        self.rows: list[Sequence[FieldElement]] = []
+        self.pivots: list[int] = []
+        for row in rows:
+            self.add(row)
+
+    def add(self, vector: Sequence[FieldElement]) -> bool:
+        """Insert the vector into the span; False (and no change) if already there."""
+        red = _reduce(self.rows, self.pivots, vector)
+        pivot = next((j for j, e in enumerate(red) if not e.is_zero()), None)
         if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, tuple(pivots), r
+            return False
+        inv = red[pivot].inverse()
+        red = [e * inv for e in red]
+        for k, row in enumerate(self.rows):
+            f = row[pivot]
+            if not f.is_zero():
+                self.rows[k] = [a - f * b for a, b in zip(row, red)]
+        at = bisect(self.pivots, pivot)
+        self.rows.insert(at, red)
+        self.pivots.insert(at, pivot)
+        return True
+
+    def subspace(self, spec: FieldSpec, ambient_dim: int, start: int = 0) -> "Subspace":
+        """The span of the rows with pivot >= start, cut to their columns from start on.
+
+        Those rows are zero before `start`, so the cut rows are again in RREF.
+        """
+        kept = [(row[start:], p - start) for row, p in zip(self.rows, self.pivots) if p >= start]
+        basis = Matrix(spec, tuple(tuple(row) for row, _ in kept), cols=ambient_dim)
+        return Subspace(spec, ambient_dim, basis, tuple(p for _, p in kept))
 
 
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
-    """Reduced row echelon form, pivot columns and rank."""
-    return a.rref()
+    """Reduced row echelon form (padded with zero rows to a.rows), pivot columns and rank."""
+    ech = _Echelon(a.entries)
+    rank = len(ech.rows)
+    zero_row = (a.spec.zero(),) * a.cols
+    red = tuple(tuple(row) for row in ech.rows) + (zero_row,) * (a.rows - rank)
+    return Matrix(a.spec, red, cols=a.cols), tuple(ech.pivots), rank
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -375,13 +370,11 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, ambient_dim: int, rows: Iterable[Sequence[FieldElement]]) -> "Subspace":
-        work = [list(r) for r in rows]
-        for r in work:
+        rows = list(rows)
+        for r in rows:
             if len(r) != ambient_dim:
                 raise AmbientMismatch(f"row of length {len(r)} in ambient {ambient_dim}")
-        red, pivots, rank = _rref_rows(work)
-        basis = Matrix(spec, tuple(tuple(r) for r in red[:rank]), cols=ambient_dim)
-        return cls(spec, ambient_dim, basis, pivots)
+        return _Echelon(rows).subspace(spec, ambient_dim)
 
     @classmethod
     def zero(cls, spec: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -400,18 +393,10 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def basis_rows(self):
-        return self.basis.entries
-
     def reduce_vector(self, vector: Sequence[FieldElement]) -> list[FieldElement]:
         if len(vector) != self.ambient_dim:
             raise AmbientMismatch(f"vector of length {len(vector)} in ambient {self.ambient_dim}")
-        w = list(vector)
-        for row, p in zip(self.basis.entries, self.pivots):
-            f = w[p]
-            if not f.is_zero():
-                w = [a - f * b for a, b in zip(w, row)]
-        return w
+        return _reduce(self.basis.entries, self.pivots, vector)
 
     def contains_vector(self, vector: Sequence[FieldElement]) -> bool:
         return all(c.is_zero() for c in self.reduce_vector(vector))
@@ -423,14 +408,9 @@ class Subspace:
 
     def coordinates(self, vector: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         """Coordinates of a member vector in the echelon basis."""
-        coords = tuple(vector[p] for p in self.pivots)
-        rebuilt = [self.spec.zero()] * self.ambient_dim
-        for c, row in zip(coords, self.basis.entries):
-            if not c.is_zero():
-                rebuilt = [a + c * b for a, b in zip(rebuilt, row)]
-        if any(not (a - b).is_zero() for a, b in zip(rebuilt, vector)):
+        if not self.contains_vector(vector):
             raise AmbientMismatch("vector is not in the subspace")
-        return coords
+        return tuple(vector[p] for p in self.pivots)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -455,14 +435,10 @@ def image(a: Matrix) -> Subspace:
 
 def kernel(a: Matrix) -> Subspace:
     """Left kernel of a: all row vectors v with v*a = 0."""
-    m = a.rows
-    if m == 0:
-        return Subspace.zero(a.spec, 0)
-    one, zero = a.spec.one(), a.spec.zero()
-    aug = [list(a.entries[i]) + [one if i == j else zero for j in range(m)] for i in range(m)]
-    red, _, _ = _rref_rows(aug)
-    out = [row[a.cols :] for row in red if all(e.is_zero() for e in row[: a.cols])]
-    return Subspace.from_rows(a.spec, m, out)
+    # In the RREF of [a | I] the rows with a pivot in the right half are
+    # zero on the left; their right halves are the RREF basis of the kernel.
+    augmented = hstack([a, Matrix.identity(a.spec, a.rows)])
+    return _Echelon(augmented.entries).subspace(a.spec, a.rows, start=a.cols)
 
 
 def intersect(u: Subspace, w: Subspace) -> Subspace:
@@ -511,39 +487,6 @@ def subspace_direct_sum(parts: Sequence[Subspace]) -> Subspace:
             rows.append(padded)
         offset += p.ambient_dim
     return Subspace.from_rows(spec, total, rows)
-
-
-class _Echelon:
-    """Incremental Gauss-Jordan used to test rank growth row by row."""
-
-    def __init__(self):
-        self.rows: list[tuple[int, list[FieldElement]]] = []
-
-    def reduce(self, vector: Sequence[FieldElement]) -> list[FieldElement]:
-        w = list(vector)
-        for p, row in self.rows:
-            f = w[p]
-            if not f.is_zero():
-                w = [a - f * b for a, b in zip(w, row)]
-        return w
-
-    def add(self, vector: Sequence[FieldElement]) -> bool:
-        red = self.reduce(vector)
-        pivot = None
-        for j, e in enumerate(red):
-            if not e.is_zero():
-                pivot = j
-                break
-        if pivot is None:
-            return False
-        inv = red[pivot].inverse()
-        red = [e * inv for e in red]
-        for k, (p, row) in enumerate(self.rows):
-            f = row[pivot]
-            if not f.is_zero():
-                self.rows[k] = (p, [a - f * b for a, b in zip(row, red)])
-        self.rows.append((pivot, red))
-        return True
 
 
 def extend_basis(inner: Subspace, outer: Subspace, ambient_dim: int | None = None) -> Matrix:

@@ -31,6 +31,7 @@ from .errors import (
     ProductNotIdentity,
     RadonError,
     ShapeMismatch,
+    Singular,
 )
 from .field import FieldSpec, format_element, parse_element
 from .linalg import Matrix, intertwiner_space, matrix_from_flat, product_of
@@ -215,7 +216,7 @@ def conjugacy_match(computed: Sequence[Matrix], target: Sequence[Matrix]) -> Mat
     def ok(t: Matrix) -> Matrix | None:
         try:
             t_inv = t.inverse()
-        except Exception:
+        except Singular:
             return None
         for c, tgt in zip(computed, target):
             if t_inv * c * t != tgt:

@@ -106,16 +106,18 @@ def test_local_matrix_golden():
 
 
 def test_local_matrix_inverse_pair():
-    rng = random.Random(55)
-    gf = FieldSpec.prime(7)
-    for _ in range(10):
-        n, r = rng.randint(1, 3), rng.randint(3, 5)
-        g = _random_tuple(rng, gf, n, r)
-        for i in list(range(1, r)) + [-k for k in range(1, r)]:
-            advanced = act_on_tuple(g, [i])
-            assert local_matrix(g, i) * local_matrix(advanced, -i) == Matrix.identity(
-                gf, n * r
-            )
+    # L(g, i) * L(act(g, i), -i) = 1 for positive and negative letters i,
+    # over every kind of field the fixtures use
+    for spec in (FieldSpec.prime(7), Q, Q6):
+        rng = random.Random(55)
+        for _ in range(10):
+            n, r = rng.randint(1, 3), rng.randint(3, 5)
+            g = _random_tuple(rng, spec, n, r)
+            for i in list(range(1, r)) + [-k for k in range(1, r)]:
+                advanced = act_on_tuple(g, [i])
+                assert local_matrix(g, i) * local_matrix(advanced, -i) == Matrix.identity(
+                    spec, n * r
+                )
 
 
 def test_local_matrix_identity_tuple_swap():
@@ -140,9 +142,15 @@ def test_word_matrix_examples():
     assert sq.extract_block(1, 1, 2, 2) == Matrix.from_ints(Q, [[-1, -2], [2, 3]])
 
 
+def _random_entry(rng, spec):
+    if spec.kind == "prime":
+        return spec.from_int(rng.randrange(spec.p))
+    return spec.element([rng.randint(-2, 2) for _ in range(spec.degree)])
+
+
 def _random_invertible(rng, spec, n):
     while True:
-        m = Matrix.from_ints(spec, [[rng.randrange(spec.p) for _ in range(n)] for _ in range(n)])
+        m = Matrix.from_rows(spec, [[_random_entry(rng, spec) for _ in range(n)] for _ in range(n)])
         try:
             m.inverse()
             return m

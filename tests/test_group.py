@@ -256,6 +256,19 @@ def test_engine_repeated_and_redundant_generators():
     assert derived_series([ident, ident]) == [1]
 
 
+def test_from_matrices_drops_repeated_generators(zariski_c_result):
+    a, b = s4_generators()
+    assert MatrixGroupGen.from_matrices([a, a, b]).generators == (a, b)
+    assert MatrixGroupGen.from_matrices([b, a, b, a]).generators == (b, a)
+    noisy, plain = [a, b, a, a, b], [a, b]
+    assert invariant_decomposition(noisy) == invariant_decomposition(plain)
+    assert modular_group_analysis(noisy, [5, 7]) == modular_group_analysis(plain, [5, 7])
+    # the zariski_c output tuple has 18 entries but 7 distinct matrices
+    gtilde = list(zariski_c_result.gtilde)
+    assert len(gtilde) == 18
+    assert len(MatrixGroupGen.from_matrices(gtilde).generators) == 7
+
+
 def test_engine_cap_boundary():
     gens = s4_generators()
     assert closure(gens, cap=24).order == 24

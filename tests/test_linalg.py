@@ -184,9 +184,6 @@ def test_insert_block_golden():
 
 
 def test_direct_sum():
-    a = mat([[1, 2]])
-    b = mat([[3]])
-    assert a.direct_sum(b) == mat([[1, 2, 0], [0, 0, 3]])
     lines = [Subspace.full(Q, 1) for _ in range(4)]
     assert subspace_direct_sum(lines) == Subspace.full(Q, 4)
 

@@ -1,0 +1,150 @@
+"""Differential tests of the elimination layer against sympy's DomainMatrix.
+
+rref (form, pivots, rank), inverse, singularity and the left kernel are
+compared on seeded random matrices, a share of them rank-deficient, over
+Q, GF(7) and Q(zeta_6).  Q(zeta_6) maps to QQ<sqrt(-3)> with
+zeta_6 = (1 + sqrt(-3)) / 2.
+"""
+
+import random
+
+import pytest
+
+from radonmono.errors import Singular
+from radonmono.field import FieldSpec
+from radonmono.linalg import Matrix, Subspace, kernel, rref
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError  # noqa: E402
+
+FIELDS = {
+    "Q": FieldSpec.rational(),
+    "GF7": FieldSpec.prime(7),
+    "Qzeta6": FieldSpec.cyclotomic(6),
+}
+SEEDS = range(12)
+
+
+def _sympy_domain(spec):
+    if spec.kind == "prime":
+        return sympy.GF(spec.p), None
+    if spec.kind == "rational":
+        return sympy.QQ, None
+    dom = sympy.QQ.algebraic_field(sympy.sqrt(-3))
+    return dom, dom.from_sympy((1 + sympy.sqrt(-3)) / 2)
+
+
+def to_sympy(mat: Matrix) -> DomainMatrix:
+    dom, zeta = _sympy_domain(mat.spec)
+    kind = mat.spec.kind
+
+    def conv(e):
+        if kind == "prime":
+            return dom(e.coeffs[0])
+        if kind == "rational":
+            return dom(e.coeffs[0].numerator, e.coeffs[0].denominator)
+        c0, c1 = (sympy.QQ(c.numerator, c.denominator) for c in e.coeffs)
+        return dom.convert(c0) + dom.convert(c1) * zeta
+
+    return DomainMatrix([[conv(e) for e in row] for row in mat.entries], (mat.rows, mat.cols), dom)
+
+
+def random_entry(rng, spec):
+    if spec.kind == "prime":
+        return spec.from_int(rng.randrange(spec.p))
+    return spec.element([rng.randint(-3, 3) for _ in range(spec.degree)])
+
+
+def random_matrix(rng, spec, rows, cols, rank=None):
+    """A random rows x cols matrix; with `rank`, a product through k^rank."""
+
+    def dense(r, c):
+        return Matrix.from_rows(spec, [[random_entry(rng, spec) for _ in range(c)] for _ in range(r)], cols=c)
+
+    if rank is None:
+        return dense(rows, cols)
+    if rank == 0:
+        return Matrix.zero(spec, rows, cols)
+    return dense(rows, rank) * dense(rank, cols)
+
+
+def _case(seed, spec, square=False):
+    rng = random.Random(seed)
+    rows = rng.randint(1, 5)
+    cols = rows if square else rng.randint(1, 6)
+    rank = rng.randint(0, min(rows, cols) - 1) if seed % 2 else None
+    return random_matrix(rng, spec, rows, cols, rank)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rref_against_sympy(field, seed):
+    a = _case(seed, FIELDS[field])
+    red, pivots, rank = rref(a)
+    ref, ref_pivots = to_sympy(a).rref()
+    assert to_sympy(red) == ref
+    assert pivots == tuple(ref_pivots)
+    assert rank == len(ref_pivots) == to_sympy(a).rank()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_inverse_against_sympy(field, seed):
+    a = _case(seed, FIELDS[field], square=True)
+    try:
+        expected = to_sympy(a).inv()
+    except DMNonInvertibleMatrixError:
+        with pytest.raises(Singular):
+            a.inverse()
+    else:
+        assert to_sympy(a.inverse()) == expected
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_left_kernel_against_sympy(field, seed):
+    a = _case(seed, FIELDS[field])
+    ours = kernel(a)
+    # the left kernel of a is the nullspace of its transpose
+    transpose = to_sympy(a).transpose()
+    null = transpose.nullspace()
+    assert ours.dim == null.shape[0] == a.rows - transpose.rank()
+    if ours.dim:
+        assert to_sympy(ours.basis) == null.rref()[0]
+
+
+def test_singular_examples():
+    for spec in FIELDS.values():
+        with pytest.raises(Singular):
+            Matrix.zero(spec, 2, 2).inverse()
+        dependent = Matrix.from_ints(spec, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+        with pytest.raises(Singular):
+            dependent.inverse()
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+
+@st.composite
+def rows_with_shuffle(draw):
+    spec = draw(st.sampled_from(list(FIELDS.values())))
+    cols = draw(st.integers(1, 5))
+    coeff = st.integers(-3, 3)
+    entry = st.lists(coeff, min_size=spec.degree, max_size=spec.degree).map(spec.element)
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6))
+    order = draw(st.permutations(range(len(rows))))
+    scalars = draw(st.lists(entry.filter(lambda e: not e.is_zero()), min_size=len(rows), max_size=len(rows)))
+    return spec, cols, rows, order, scalars
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(rows_with_shuffle())
+def test_subspace_invariant_under_row_permutation_and_scaling(case):
+    spec, cols, rows, order, scalars = case
+    base = Subspace.from_rows(spec, cols, rows)
+    moved = [[s * e for e in rows[i]] for i, s in zip(order, scalars)]
+    assert Subspace.from_rows(spec, cols, moved) == base
+    assert base.pivots == tuple(sorted(base.pivots))
+    assert all(row[p].is_one() for row, p in zip(base.basis.entries, base.pivots))
