@@ -8,9 +8,11 @@ cocycle space is
 
 the coboundary space is E = {(v(g_1 - 1), ..., v(g_r - 1)) : v in V}, and
 the quotient W = H/E models the parabolic cohomology of the punctured line
-with coefficients in the rank-n local system defined by g.  Braid deformations
-act on W through explicit block-transvection matrices on V^r, composed
-left to right while the tuple advances under the braid action.
+with coefficients in the rank-n local system defined by g.  A braid letter i
+deforms V^r by a block transvection of the blocks v_i and v_{i+1} only;
+`act_on_rows` applies a word to row vectors as one 2n-column update per
+letter while the tuple advances.  `phibar` moves only the dim W middle rows
+of the flag basis, and `word_matrix` moves the identity rows.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Sequence
 
 from .braid import BraidWord, act_on_tuple
 from .errors import GeneratorOutOfRange, ProductNotIdentity, ShapeMismatch
+from .field import FieldElement
 from .linalg import (
     Matrix,
     Subspace,
@@ -28,6 +31,7 @@ from .linalg import (
     image,
     intersect,
     kernel,
+    product_of,
     row_times_matrix,
     subspace_direct_sum,
     vstack,
@@ -38,6 +42,7 @@ __all__ = [
     "compute_H",
     "compute_E",
     "trafodat",
+    "act_on_rows",
     "local_matrix",
     "word_matrix",
     "phibar",
@@ -75,10 +80,7 @@ def _check_tuple(g: Sequence[Matrix]) -> tuple[int, int]:
             raise ShapeMismatch("tuple entries over different fields")
         if not m.is_square() or m.rows != n:
             raise ShapeMismatch("tuple entries must be square of equal size")
-    prod = g[0]
-    for m in g[1:]:
-        prod = prod * m
-    if not prod.is_identity():
+    if not product_of(g).is_identity():
         raise ProductNotIdentity("ordered product of the tuple is not the identity")
     return n, len(g)
 
@@ -130,6 +132,45 @@ def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
     )
 
 
+def act_on_rows(
+    g: Sequence[Matrix], word: BraidWord | Sequence[int], rows: list[list[FieldElement]]
+) -> tuple[Matrix, ...]:
+    """Right-multiply each row of V^r, in place, by the deformation of each
+    letter in turn while the tuple advances; return the advanced tuple.
+
+    With x and y the blocks i and i+1 of a row, g_i and g_{i+1} entries of
+    the current tuple, letter i sets x' = y and y' = x g_{i+1} + y - y g'
+    with g' = g_{i+1}^-1 g_i g_{i+1}; letter -i sets x' = (x g_{i+1} - x +
+    y) g_i^-1 and y' = x.
+    """
+    if isinstance(word, BraidWord) and word.strands != len(g):
+        raise ShapeMismatch(f"word on {word.strands} strands for an {len(g)}-tuple")
+    letters = word.letters if isinstance(word, BraidWord) else word
+    n, r = g[0].rows, len(g)
+    current = tuple(g)
+    for letter in letters:
+        a = abs(letter)
+        if letter == 0 or a > r - 1:
+            raise GeneratorOutOfRange(f"letter {letter} outside 1..{r - 1}")
+        top, mid, end = n * (a - 1), n * a, n * (a + 1)
+        advanced = act_on_tuple(current, [letter])
+        gi1 = current[a]
+        if letter > 0:
+            conj = advanced[a]  # g_{i+1}^-1 g_i g_{i+1}
+            for row in rows:
+                x, y = row[top:mid], row[mid:end]
+                xg, yc = row_times_matrix(x, gi1), row_times_matrix(y, conj)
+                row[top:end] = y + [s + t - u for s, t, u in zip(xg, y, yc)]
+        else:
+            gi_inv = current[a - 1].inverse()
+            for row in rows:
+                x, y = row[top:mid], row[mid:end]
+                xg = row_times_matrix(x, gi1)
+                row[top:end] = [*row_times_matrix([s - t + u for s, t, u in zip(xg, x, y)], gi_inv), *x]
+        current = advanced
+    return current
+
+
 def local_matrix(g: Sequence[Matrix], letter: int) -> Matrix:
     """The deformation matrix of a single braid letter on V^r.
 
@@ -138,52 +179,22 @@ def local_matrix(g: Sequence[Matrix], letter: int) -> Matrix:
     form [[(g_{i+1} - 1) g_i^-1, 1], [g_i^-1, 0]], which equals the inverse
     of the positive matrix of the advanced tuple.
     """
-    n = g[0].rows
-    r = len(g)
-    a = abs(letter)
-    if letter == 0 or a > r - 1:
-        raise GeneratorOutOfRange(f"letter {letter} outside 1..{r - 1}")
-    spec = g[0].spec
-    ident = Matrix.identity(spec, n)
-    out = Matrix.identity(spec, n * r)
-    i = a - 1
-    top, mid = n * i + 1, n * (i + 1) + 1  # 1-based block corners
-    if letter > 0:
-        gi, gi1 = g[i], g[i + 1]
-        out = out.insert_block(Matrix.zero(spec, n, n), top, top)
-        out = out.insert_block(gi1, top, mid)
-        out = out.insert_block(ident, mid, top)
-        out = out.insert_block(ident - gi1.inverse() * gi * gi1, mid, mid)
-    else:
-        gi, gi1 = g[i], g[i + 1]
-        gi_inv = gi.inverse()
-        out = out.insert_block((gi1 - ident) * gi_inv, top, top)
-        out = out.insert_block(ident, top, mid)
-        out = out.insert_block(gi_inv, mid, top)
-        out = out.insert_block(Matrix.zero(spec, n, n), mid, mid)
-    return out
+    return word_matrix(g, [letter])
 
 
 def word_matrix(g: Sequence[Matrix], word: BraidWord | Sequence[int]) -> Matrix:
     """The deformation matrix of a braid word: the left-to-right product of
     single-letter matrices while the tuple advances under the action."""
-    mat, _ = word_matrix_with_target(g, word)
-    return mat
+    return word_matrix_with_target(g, word)[0]
 
 
 def word_matrix_with_target(
     g: Sequence[Matrix], word: BraidWord | Sequence[int]
 ) -> tuple[Matrix, tuple[Matrix, ...]]:
-    letters = word.letters if isinstance(word, BraidWord) else tuple(word)
-    if isinstance(word, BraidWord) and word.strands != len(g):
-        raise ShapeMismatch(f"word on {word.strands} strands for an {len(g)}-tuple")
-    n = g[0].rows
-    out = Matrix.identity(g[0].spec, n * len(g))
-    current = tuple(g)
-    for letter in letters:
-        out = out * local_matrix(current, letter)
-        current = act_on_tuple(current, [letter])
-    return out, current
+    spec, size = g[0].spec, g[0].rows * len(g)
+    rows = [list(row) for row in Matrix.identity(spec, size).entries]
+    target = act_on_rows(g, word, rows)
+    return Matrix.from_rows(spec, rows, cols=size), target
 
 
 def phibar(
@@ -194,30 +205,30 @@ def phibar(
 ) -> Matrix:
     """The map induced on the quotient W = H/E by a braid word.
 
-    The full deformation matrix is conjugated into the flag basis of the
-    source tuple and the middle dim_w x dim_w block is extracted.  The same
-    source basis is used on both sides; for words that move the tuple this
-    reads the result in the source flag coordinates.  With verify=True the
-    stability of the cocycle and coboundary spaces under the deformation is
-    checked exactly.
+    The dim_w middle rows of the source flag basis are moved through the
+    word by `act_on_rows` and multiplied by the middle dim_w columns of the
+    inverse flag basis.  The same source basis is used on both sides; for
+    words that move the tuple this reads the result in the source flag
+    coordinates.  With verify=True the basis rows of H and E are moved along
+    and the stability of the cocycle and coboundary spaces is checked exactly.
     """
     ts = spaces if spaces is not None else trafodat(g)
-    full, target = word_matrix_with_target(g, word)
+    lo, hi = ts.dim_e, ts.dim_h
+    rows = [list(row) for row in ts.transition.entries[lo:hi]]
+    checked = [list(row) for row in ts.H.basis.entries + ts.E.basis.entries] if verify else []
+    target = act_on_rows(g, word, rows + checked)
     if verify:
-        _verify_stability(ts, full, target)
-    conj = ts.transition * full * ts.transition_inv
-    return conj.extract_block(ts.dim_e + 1, ts.dim_e + 1, ts.dim_w, ts.dim_w)
+        _verify_stability(ts, checked, target)
+    middle = Matrix(ts.transition.spec, tuple(tuple(row[lo:hi]) for row in ts.transition_inv.entries), cols=ts.dim_w)
+    return Matrix.from_rows(middle.spec, rows, cols=ts.n * ts.r) * middle
 
 
-def _verify_stability(ts: TupleSpaces, full: Matrix, target: Sequence[Matrix]):
-    if tuple(target) == ts.g:
-        h_target, e_target = ts.H, ts.E
-    else:
-        h_target = compute_H(target)
-        e_target = compute_E(target)
-    for row in ts.H.basis.entries:
-        if not h_target.contains_vector(row_times_matrix(row, full)):
+def _verify_stability(ts: TupleSpaces, moved: list[list[FieldElement]], target: Sequence[Matrix]):
+    same = tuple(target) == ts.g
+    h_target, e_target = (ts.H, ts.E) if same else (compute_H(target), compute_E(target))
+    for row in moved[: ts.dim_h]:
+        if not h_target.contains_vector(row):
             raise ShapeMismatch("cocycle space is not stable under the word")
-    for row in ts.E.basis.entries:
-        if not e_target.contains_vector(row_times_matrix(row, full)):
+    for row in moved[ts.dim_h :]:
+        if not e_target.contains_vector(row):
             raise ShapeMismatch("coboundary space is not stable under the word")

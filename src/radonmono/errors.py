@@ -47,10 +47,6 @@ class ShapeMismatch(RadonError):
     """Incompatible matrix or tuple shapes."""
 
 
-class BlockOutOfRange(RadonError):
-    """Block extraction or insertion outside the matrix."""
-
-
 class StrandOutOfRange(InputError):
     """Braid letter outside the generator range of the braid group."""
 

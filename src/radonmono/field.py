@@ -67,6 +67,7 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
+@lru_cache(maxsize=None)
 def totient(m: int) -> int:
     """Euler's phi function."""
     if m < 1:

@@ -21,9 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     BadPrime,
@@ -37,6 +35,9 @@ from .errors import (
 )
 from .field import FieldElement, FieldSpec, _factorize, cyclotomic_polynomial, is_prime
 from .linalg import Matrix, Subspace, _Echelon, hstack, image, kernel, row_times_matrix, subspace_sum, vstack
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MatrixGroupGen",
@@ -133,13 +134,15 @@ class _ModpOps:
     """int64 numpy matrices with entries in 0..p-1."""
 
     def __init__(self, p: int, degree: int):
-        self.p, self.degree = p, degree
+        import numpy as np  # here and in reduce_matrix_modp only: the exact path never loads it
+
+        self.p, self.degree, self.np = p, degree, np
 
     def identity(self) -> np.ndarray:
-        return np.eye(self.degree, dtype=np.int64)
+        return self.np.eye(self.degree, dtype=self.np.int64)
 
     def times(self, elements, g: np.ndarray) -> np.ndarray:
-        return np.stack(elements) @ g % self.p
+        return self.np.stack(elements) @ g % self.p
 
     def key(self, mat: np.ndarray) -> bytes:
         return mat.tobytes()
@@ -409,6 +412,8 @@ def reduce_element_modp(el: FieldElement, p: int, root: int | None = None) -> in
 def reduce_matrix_modp(mat: Matrix, p: int, root: int | None = None) -> np.ndarray:
     if mat.spec.kind == "cyclotomic" and root is None:
         root = root_of_unity_modp(mat.spec.m, p)
+    import numpy as np
+
     data = [[reduce_element_modp(e, p, root) for e in row] for row in mat.entries]
     return np.array(data, dtype=np.int64)
 

@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     AmbientMismatch,
-    BlockOutOfRange,
     FieldMismatch,
     NotNested,
     ShapeMismatch,
@@ -190,34 +189,6 @@ class Matrix:
                 raise Singular("matrix is singular")
         return Matrix(self.spec, tuple(tuple(row[n:]) for row in ech.rows), cols=n)
 
-    # -- structure ops -----------------------------------------------------------
-
-    def insert_block(self, block: "Matrix", row1: int, col1: int) -> "Matrix":
-        """Copy of self with `block` written at 1-based offsets (row1, col1)."""
-        self._check_spec(block)
-        r0, c0 = row1 - 1, col1 - 1
-        if r0 < 0 or c0 < 0 or r0 + block.rows > self.rows or c0 + block.cols > self.cols:
-            raise BlockOutOfRange(
-                f"{block.rows}x{block.cols} block at ({row1},{col1}) in {self.rows}x{self.cols}"
-            )
-        out = [list(row) for row in self.entries]
-        for i in range(block.rows):
-            out[r0 + i][c0 : c0 + block.cols] = list(block.entries[i])
-        return Matrix(self.spec, tuple(tuple(r) for r in out), cols=self.cols)
-
-    def extract_block(self, row1: int, col1: int, height: int, width: int) -> "Matrix":
-        """The height x width block at 1-based offsets (row1, col1)."""
-        r0, c0 = row1 - 1, col1 - 1
-        if r0 < 0 or c0 < 0 or height < 0 or width < 0 or r0 + height > self.rows or c0 + width > self.cols:
-            raise BlockOutOfRange(
-                f"{height}x{width} block at ({row1},{col1}) in {self.rows}x{self.cols}"
-            )
-        return Matrix(
-            self.spec,
-            tuple(tuple(self.entries[r0 + i][c0 : c0 + width]) for i in range(height)),
-            cols=width,
-        )
-
     # -- identity ------------------------------------------------------------------
 
     def __eq__(self, other):
@@ -286,14 +257,9 @@ class _Echelon:
         self.pivots.insert(at, pivot)
         return True
 
-    def subspace(self, spec: FieldSpec, ambient_dim: int, start: int = 0) -> "Subspace":
-        """The span of the rows with pivot >= start, cut to their columns from start on.
-
-        Those rows are zero before `start`, so the cut rows are again in RREF.
-        """
-        kept = [(row[start:], p - start) for row, p in zip(self.rows, self.pivots) if p >= start]
-        basis = Matrix(spec, tuple(tuple(row) for row, _ in kept), cols=ambient_dim)
-        return Subspace(spec, ambient_dim, basis, tuple(p for _, p in kept))
+    def subspace(self, spec: FieldSpec, ambient_dim: int) -> "Subspace":
+        basis = Matrix(spec, tuple(tuple(row) for row in self.rows), cols=ambient_dim)
+        return Subspace(spec, ambient_dim, basis, tuple(self.pivots))
 
 
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
@@ -435,10 +401,29 @@ def image(a: Matrix) -> Subspace:
 
 def kernel(a: Matrix) -> Subspace:
     """Left kernel of a: all row vectors v with v*a = 0."""
-    # In the RREF of [a | I] the rows with a pivot in the right half are
-    # zero on the left; their right halves are the RREF basis of the kernel.
-    augmented = hstack([a, Matrix.identity(a.spec, a.rows)])
-    return _Echelon(augmented.entries).subspace(a.spec, a.rows, start=a.cols)
+    # Eliminate the transpose with its columns reversed (column j is row
+    # m-1-j of a).  Free column j gives the kernel vector with a one at m-1-j
+    # and minus column j of the echelon at the pivots before j, all after
+    # m-1-j in v: in order of the free columns, this is the RREF basis.
+    m, spec = a.rows, a.spec
+    ech = _Echelon(tuple(a.entries[m - 1 - j][c] for j in range(m)) for c in range(a.cols))
+    pivots = set(ech.pivots)
+    zero, one = spec.zero(), spec.one()
+    basis, free = [], []
+    for i in range(m):
+        j = m - 1 - i
+        if j in pivots:
+            continue
+        v = [zero] * m
+        v[i] = one
+        for row, p in zip(ech.rows, ech.pivots):
+            if p > j:
+                break
+            if not row[j].is_zero():
+                v[m - 1 - p] = -row[j]
+        basis.append(tuple(v))
+        free.append(i)
+    return Subspace(spec, m, Matrix(spec, tuple(basis), cols=m), tuple(free))
 
 
 def intersect(u: Subspace, w: Subspace) -> Subspace:

@@ -139,7 +139,7 @@ def test_word_matrix_examples():
     w = [1, 2, -2, -1]
     assert word_matrix(g, w) == Matrix.identity(Q, 4)
     sq = word_matrix(g, [1, 1])
-    assert sq.extract_block(1, 1, 2, 2) == Matrix.from_ints(Q, [[-1, -2], [2, 3]])
+    assert Matrix.from_rows(Q, [row[:2] for row in sq.entries[:2]]) == Matrix.from_ints(Q, [[-1, -2], [2, 3]])
 
 
 def _random_entry(rng, spec):
@@ -222,3 +222,57 @@ def test_phibar_examples(four_lines_fd):
     word = BraidWord(4, (1, 2, 2, 1))
     inv = word.inverse()
     assert phibar(g, word, ts) * phibar(g, inv, ts) == Matrix.identity(Q, 2)
+
+
+# -- differential: the projected phibar against the dense conjugated product --
+
+
+def dense_letter(g, letter):
+    """The nr x nr matrix of one letter, assembled from the block formulas in
+    the `local_matrix` docstring by plain list slicing."""
+    n, r, spec = g[0].rows, len(g), g[0].spec
+    i = abs(letter) - 1
+    gi, gi1 = g[i], g[i + 1]
+    one, zero = Matrix.identity(spec, n), Matrix.zero(spec, n, n)
+    if letter > 0:
+        blocks = [[zero, gi1], [one, one - gi1.inverse() * gi * gi1]]
+    else:
+        blocks = [[(gi1 - one) * gi.inverse(), one], [gi.inverse(), zero]]
+    out = [list(row) for row in Matrix.identity(spec, n * r).entries]
+    for bi in range(2):
+        for bj in range(2):
+            for k in range(n):
+                out[n * (i + bi) + k][n * (i + bj) : n * (i + bj + 1)] = blocks[bi][bj].entries[k]
+    return Matrix.from_rows(spec, out)
+
+
+def dense_word(g, word):
+    """The left-to-right product of the letter matrices while the tuple advances."""
+    full = Matrix.identity(g[0].spec, g[0].rows * len(g))
+    for letter in word:
+        full = full * dense_letter(g, letter)
+        g = act_on_tuple(g, [letter])
+    return full
+
+
+def dense_phibar(g, word, ts):
+    """The middle dim_w block of T * dense_word * T^-1."""
+    conj = ts.transition * dense_word(g, word) * ts.transition_inv
+    lo, hi = ts.dim_e, ts.dim_h
+    return Matrix.from_rows(g[0].spec, [row[lo:hi] for row in conj.entries[lo:hi]], cols=ts.dim_w)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.prime(101), Q, Q6], ids=["GF101", "Q", "Qzeta6"])
+def test_phibar_against_dense_product(spec):
+    # random words mixing positive and negative letters, and the empty word
+    rng = random.Random(f"phibar:{spec.label()}")
+    for _ in range(6):
+        n, r = rng.randint(1, 3), rng.randint(3, 5)
+        g = _random_tuple(rng, spec, n, r)
+        ts = trafodat(g)
+        letters = [i for i in range(-(r - 1), r) if i != 0]
+        for word in [[]] + [[rng.choice(letters) for _ in range(rng.randint(1, 6))] for _ in range(3)]:
+            expected = dense_phibar(g, word, ts)
+            assert phibar(g, word, ts) == expected
+            assert phibar(g, word, ts, verify=True) == expected
+            assert word_matrix(g, word) == dense_word(g, word)

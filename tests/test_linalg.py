@@ -5,7 +5,6 @@ import pytest
 
 from radonmono.errors import (
     AmbientMismatch,
-    BlockOutOfRange,
     NotNested,
     ShapeMismatch,
     Singular,
@@ -169,18 +168,6 @@ def test_invert_times_self_on_random():
             continue
         assert inv * a == Matrix.identity(gf, n)
         assert a * inv == Matrix.identity(gf, n)
-
-
-def test_insert_block_golden():
-    # the braid generator block inside the identity on V^4
-    block = mat([[0, -1], [1, 2]])
-    out = Matrix.identity(Q, 4).insert_block(block, 1, 1)
-    assert out == mat([[0, -1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert out.extract_block(1, 1, 2, 2) == block
-    with pytest.raises(BlockOutOfRange):
-        Matrix.identity(Q, 2).insert_block(block, 2, 2)
-    with pytest.raises(BlockOutOfRange):
-        Matrix.identity(Q, 2).extract_block(1, 1, 3, 1)
 
 
 def test_direct_sum():

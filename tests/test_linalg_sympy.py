@@ -1,18 +1,21 @@
 """Differential tests of the elimination layer against sympy's DomainMatrix.
 
-rref (form, pivots, rank), inverse, singularity and the left kernel are
-compared on seeded random matrices, a share of them rank-deficient, over
-Q, GF(7) and Q(zeta_6).  Q(zeta_6) maps to QQ<sqrt(-3)> with
-zeta_6 = (1 + sqrt(-3)) / 2.
+rref (form, pivots, rank), inverse, singularity and the left kernel (also on
+tall, wide and 0-column shapes) are compared on seeded random matrices, a
+share of them rank-deficient, over Q, GF(7) and Q(zeta_6); so are the
+cocycle spaces H and E of random product-one tuples.  Q(zeta_6) maps to
+QQ<sqrt(-3)> with zeta_6 = (1 + sqrt(-3)) / 2.
 """
 
+import functools
 import random
 
 import pytest
 
+from radonmono.cocycle import compute_E, compute_H
 from radonmono.errors import Singular
 from radonmono.field import FieldSpec
-from radonmono.linalg import Matrix, Subspace, kernel, rref
+from radonmono.linalg import Matrix, Subspace, kernel, product_of, rref
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -112,6 +115,86 @@ def test_left_kernel_against_sympy(field, seed):
     assert ours.dim == null.shape[0] == a.rows - transpose.rank()
     if ours.dim:
         assert to_sympy(ours.basis) == null.rref()[0]
+
+
+# Tall (rows >> cols: the suffix stack of compute_H), wide, and 0-column shapes.
+SHAPES = [(12, 2), (20, 3), (9, 1), (2, 12), (3, 20), (4, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("deficient", [False, True])
+def test_left_kernel_shapes_against_sympy(field, shape, deficient):
+    rows, cols = shape
+    rng = random.Random(f"{field}:{rows}x{cols}:{deficient}")
+    rank = min(rows, cols) - 1 if deficient and min(rows, cols) > 1 else None
+    a = random_matrix(rng, FIELDS[field], rows, cols, rank)
+    ours = kernel(a)
+    null = to_sympy(a).transpose().nullspace()
+    assert ours.dim == null.shape[0]
+    if ours.dim:
+        assert to_sympy(ours.basis) == null.rref()[0]
+
+
+def random_product_one_tuple(rng, spec, n, r):
+    """r random invertible n x n matrices whose ordered product is 1."""
+    mats = []
+    while len(mats) < r - 1:
+        m = random_matrix(rng, spec, n, n)
+        if to_sympy(m).rank() == n:
+            mats.append(m)
+    return mats + [product_of(mats).inverse()]
+
+
+def _row_space_basis(dm):
+    """The nonzero rows of the RREF of dm, or None for the zero space."""
+    red, pivots = dm.rref()
+    if not pivots:
+        return None
+    return DomainMatrix(red.to_list()[: len(pivots)], (len(pivots), dm.shape[1]), dm.domain)
+
+
+def _block_rows(blocks, dom):
+    """The rows of a block matrix given as a grid of square DomainMatrix blocks (None is zero)."""
+    out = []
+    for brow in blocks:
+        height = next(b.shape[0] for b in brow if b is not None)
+        for k in range(height):
+            row = []
+            for b in brow:
+                row.extend(b.to_list()[k] if b is not None else [dom.zero] * height)
+            out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("seed", range(6))
+def test_cocycle_spaces_against_sympy(field, seed):
+    # H = {(u_i (g_i - 1))_i : sum_i u_i (g_i - 1) g_{i+1}...g_r = 0}: the image
+    # of the left kernel of the column of (g_i - 1) g_{i+1}...g_r under
+    # diag(g_i - 1).  E is the row space of [g_1 - 1 | ... | g_r - 1].  Both
+    # are compared as canonical RREF bases, so dim H and dim E are too.
+    spec = FIELDS[field]
+    rng = random.Random(f"cocycle:{field}:{seed}")
+    n, r = rng.randint(1, 3), rng.randint(3, 5)
+    tup = random_product_one_tuple(rng, spec, n, r)
+    g = [to_sympy(m) for m in tup]
+    dom = g[0].domain
+    ident = DomainMatrix.eye(n, dom).to_dense()
+    assert functools.reduce(lambda x, y: x * y, g) == ident
+    moves = [gi - ident for gi in g]
+    suffix = [ident] * r
+    for i in range(r - 2, -1, -1):
+        suffix[i] = g[i + 1] * suffix[i + 1]
+    column = DomainMatrix(_block_rows([[mv * sf] for mv, sf in zip(moves, suffix)], dom), (n * r, n), dom)
+    diag = [[moves[i] if j == i else None for j in range(r)] for i in range(r)]
+    diag = DomainMatrix(_block_rows(diag, dom), (n * r, n * r), dom)
+    h_ref = _row_space_basis(column.transpose().nullspace() * diag)
+    e_ref = _row_space_basis(moves[0].hstack(*moves[1:]))
+    for ours, ref in ((compute_H(tup), h_ref), (compute_E(tup), e_ref)):
+        assert ours.dim == (ref.shape[0] if ref is not None else 0)
+        if ours.dim:
+            assert to_sympy(ours.basis) == ref
 
 
 def test_singular_examples():
