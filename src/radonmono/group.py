@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
@@ -33,8 +32,20 @@ from .errors import (
     Singular,
     ZeroSeed,
 )
-from .field import FieldElement, FieldSpec, _factorize, cyclotomic_polynomial, is_prime
-from .linalg import Matrix, Subspace, _Echelon, hstack, image, kernel, row_times_matrix, subspace_sum, vstack
+from .field import FieldElement, FieldSpec, _factorize, cyclotomic_polynomial, format_element, is_prime
+from .linalg import (
+    Matrix,
+    Subspace,
+    _Echelon,
+    hstack,
+    image,
+    intersect,
+    intertwiner_space,
+    kernel,
+    row_times_matrix,
+    subspace_sum,
+    vstack,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -333,8 +344,6 @@ def invariant_decomposition(gens) -> dict:
     moving = moving_subspace(group)
     meets = 0
     if fixed.dim and moving.dim:
-        from .linalg import intersect
-
         meets = intersect(fixed, moving).dim
     covers = subspace_sum(fixed, moving).dim == d
     summary = {
@@ -355,8 +364,6 @@ def invariant_decomposition(gens) -> dict:
                 all_full = False
                 break
         summary["moving_irreducible_by_spinning"] = all_full
-        from .linalg import intertwiner_space
-
         summary["moving_endomorphism_dim"] = intertwiner_space(sub, sub).dim
     return summary
 
@@ -385,28 +392,20 @@ def root_of_unity_modp(m: int, p: int) -> int:
     raise BadPrime(f"no element of order {m} in GF({p})")
 
 
-def _fraction_modp(value: Fraction, p: int) -> int:
-    if value.denominator % p == 0:
-        raise BadPrime(f"denominator of {value} vanishes mod {p}")
-    return value.numerator * pow(value.denominator, -1, p) % p
-
-
 def reduce_element_modp(el: FieldElement, p: int, root: int | None = None) -> int:
     spec = el.spec
     if spec.kind == "prime":
         if spec.p != p:
             raise BadPrime(f"element lives in GF({spec.p}), not GF({p})")
         return el.coeffs[0]
-    if spec.kind == "rational":
-        return _fraction_modp(el.coeffs[0], p)
+    if el.den % p == 0:
+        raise BadPrime(f"denominator of {format_element(el)} vanishes mod {p}")
     if root is None:
-        root = root_of_unity_modp(spec.m, p)
+        root = root_of_unity_modp(spec.m, p) if spec.m else 1
     total = 0
-    power = 1
-    for c in el.coeffs:
-        total = (total + _fraction_modp(c, p) * power) % p
-        power = power * root % p
-    return total
+    for c in reversed(el.coeffs):
+        total = (total * root + c) % p
+    return total * pow(el.den, -1, p) % p
 
 
 def reduce_matrix_modp(mat: Matrix, p: int, root: int | None = None) -> np.ndarray:

@@ -34,7 +34,7 @@ from .errors import (
     Singular,
 )
 from .field import FieldSpec, format_element, parse_element
-from .linalg import Matrix, intertwiner_space, matrix_from_flat, product_of
+from .linalg import Matrix, intertwiner_space, kernel, matrix_from_flat, product_of
 
 __all__ = [
     "FundamentalData",
@@ -130,8 +130,6 @@ def radon_rank(fd: FundamentalData) -> int:
     _check_shapes(fd)
     if not product_of(fd.g).is_identity():
         raise ProductNotIdentity("ordered product of the tuple is not the identity")
-    from .linalg import kernel
-
     ident = Matrix.identity(fd.spec, fd.n)
     fixed = sum(kernel(gi - ident).dim for gi in fd.g)
     return fd.n * (fd.r - 2) - fixed

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -159,3 +160,74 @@ def test_degree_one_cyclotomic_fields():
     # conductors 1 and 2 collapse to the rationals with z = 1 and z = -1
     assert FieldSpec.cyclotomic(1).gen().is_one()
     assert FieldSpec.cyclotomic(2).gen() == FieldSpec.cyclotomic(2).from_int(-1)
+
+
+# -- differential against sympy and the canonical form --------------------------
+
+DIFFERENTIAL_CONDUCTORS = [3, 4, 5, 7, 8, 9, 12]
+
+
+def _fraction_vector(rng, length):
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.8 else Fraction(0) for _ in range(length)]
+
+
+@pytest.mark.parametrize("m", DIFFERENTIAL_CONDUCTORS)
+def test_cyclotomic_arithmetic_against_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    phi = sympy.Poly(sympy.cyclotomic_poly(m, z), z, domain="QQ")
+    spec = FieldSpec.cyclotomic(m)
+    assert spec.degree == phi.degree()
+
+    def poly(values):
+        return sympy.Poly([sympy.Rational(v.numerator, v.denominator) for v in reversed(values)], z, domain="QQ")
+
+    def as_poly(el):
+        return sympy.Poly([sympy.Rational(c, el.den) for c in reversed(el.coeffs)], z, domain="QQ")
+
+    rng = random.Random(7000 + m)
+    for _ in range(25):
+        va, vb = _fraction_vector(rng, spec.degree), _fraction_vector(rng, spec.degree)
+        a, b = spec.element(va), spec.element(vb)
+        pa, pb = poly(va), poly(vb)
+        assert as_poly(a) == pa
+        assert as_poly(a * b) == (pa * pb).rem(phi)
+        assert as_poly(a + b) == pa + pb
+        assert as_poly(a - b) == pa - pb
+        if not a.is_zero():
+            assert as_poly(a.inverse()) == sympy.invert(pa, phi)
+        long = _fraction_vector(rng, rng.randint(spec.degree + 1, 3 * m))
+        assert as_poly(spec.element(long)) == poly(long).rem(phi)
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property below needs hypothesis
+    given = None
+
+if given is not None:
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        spec=st.sampled_from([FieldSpec.rational()] + [FieldSpec.cyclotomic(m) for m in (1, 2, 3, 4, 5, 6, 12)]),
+        values=st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=1, max_size=8),
+        scale=st.integers(2, 30),
+    )
+    def test_canonical_form_property(spec, values, scale):
+        if spec.kind == "rational":
+            values = values[:1]
+        x = spec.element(values)
+        assert x.den > 0
+        assert gcd(x.den, *x.coeffs) == 1
+        z = spec.gen() if spec.kind == "cyclotomic" else spec.one()
+        # The same element by other routes: scaled numerators over a scaled
+        # denominator, and a sum of monomials.
+        routes = [
+            spec.element([v * scale for v in values]) * spec.from_fraction(Fraction(1, scale)),
+            spec.element([Fraction(v.numerator * scale, v.denominator * scale) for v in values]),
+            sum((spec.from_fraction(v) * z**e for e, v in enumerate(values)), spec.zero()),
+        ]
+        for y in routes:
+            assert (y.coeffs, y.den) == (x.coeffs, x.den)
+            assert y == x and hash(y) == hash(x) and canonical_key(y) == canonical_key(x)

@@ -3,9 +3,11 @@
 Each run is pinned by the SHA-256 of its stdout and stderr and by its exit
 code.  The digests were recorded before the elimination code was unified;
 any change to RREF, inverse, kernel or flag bases that alters a printed
-byte shows up here.  The `group` run on four_lines stays pinned at exit 1
-("primes disagree on order: 24 vs 120") until the modular path falls back
-or labels its answer.
+byte shows up here.  The exact closure and derived series of zariski_c (a
+group of order 648 over Q(zeta_6)) was recorded before the field elements
+moved to integer numerators over one denominator.  The `group` run on
+four_lines stays pinned at exit 1 ("primes disagree on order: 24 vs 120")
+until the modular path falls back or labels its answer.
 """
 
 import contextlib
@@ -42,6 +44,7 @@ GOLDEN = [
     ("group --input fixture:scalar_group --exact", 0, "b5b2815faf387c3cc50d5760545f3a93af027312d7d7616c15a69fc48b7094ec", EMPTY),
     ("group --input fixture:four_lines --exact --cap 2000", 0, "0c98de6fd91f2ebf0064e0197484e20ac7239f19eec2337614ca0027b2fda4ac", EMPTY),
     ("group --input fixture:scalar_group --exact --cap 2", 0, "b08c8c119bfb2423c3c4e020fc395117b4a66c71961a7a816cc50ae86686a1e3", EMPTY),
+    ("group --input fixture:zariski_c --exact", 0, "332d2728202c51e06be4e7b12562481dcaeb40844716a20f1e4e8d616e310a0f", EMPTY),
 ]
 
 

@@ -46,8 +46,8 @@ def to_sympy(mat: Matrix) -> DomainMatrix:
         if kind == "prime":
             return dom(e.coeffs[0])
         if kind == "rational":
-            return dom(e.coeffs[0].numerator, e.coeffs[0].denominator)
-        c0, c1 = (sympy.QQ(c.numerator, c.denominator) for c in e.coeffs)
+            return dom(e.coeffs[0], e.den)
+        c0, c1 = (sympy.QQ(c, e.den) for c in e.coeffs)
         return dom.convert(c0) + dom.convert(c1) * zeta
 
     return DomainMatrix([[conv(e) for e in row] for row in mat.entries], (mat.rows, mat.cols), dom)
