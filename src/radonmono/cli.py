@@ -6,7 +6,7 @@ import argparse
 import sys
 from importlib import resources
 
-from .errors import InputError, RadonError
+from .errors import CapExceeded, InputError, RadonError
 from .group import (
     DEFAULT_CAP,
     closure,
@@ -57,6 +57,23 @@ def _warn(messages):
         print(f"warning: {msg}", file=sys.stderr)
 
 
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
+    return number
+
+
+def _int_list(value: str) -> list[int]:
+    try:
+        return [int(x) for x in value.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma separated integers, got {value!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radonmono",
@@ -81,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_group = sub.add_parser("group", help="analyze the group generated by the output tuple")
     common(p_group)
-    p_group.add_argument("--cap", type=int, default=DEFAULT_CAP, help="element cap for closures")
-    p_group.add_argument("--primes", default=None, help="comma separated modular primes")
+    p_group.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP, help="element cap for closures")
+    p_group.add_argument("--primes", type=_int_list, default=None, help="comma separated modular primes")
     p_group.add_argument("--exact", action="store_true", help="force the exact closure")
     return parser
 
@@ -138,14 +155,14 @@ def cmd_group(args) -> int:
             group_doc["derived_series"] = series
             group_doc["solvable"] = series[-1] == 1
     else:
-        primes = (
-            [int(x) for x in args.primes.split(",")]
-            if args.primes
-            else default_modular_primes(fd.spec)
-        )
-        analysis = modular_group_analysis(gens, primes, cap=args.cap)
-        group_doc.update({"mode": "modular", "status": "complete"})
-        group_doc.update(analysis)
+        primes = args.primes or default_modular_primes(fd.spec)
+        try:
+            analysis = modular_group_analysis(gens, primes, cap=args.cap)
+        except CapExceeded:
+            group_doc.update({"mode": "modular", "status": "cap_exceeded", "order": None})
+        else:
+            group_doc.update({"mode": "modular", "status": "complete"})
+            group_doc.update(analysis)
     if gens:
         group_doc["decomposition"] = invariant_decomposition(gens)
     doc["group"] = group_doc

@@ -279,7 +279,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise FieldMismatch(
                     f"mixed fields {self.spec.label()} and {other.spec.label()}"
                 )

@@ -1,12 +1,15 @@
 """Finite matrix group analysis: closure, derived series, spinning, scalars.
 
 One breadth-first enumeration, `_Enumeration`, serves every group order.  It
-runs over a backend of four operations (identity, batch multiply, key,
-inverse): exact `Matrix` arithmetic with canonical keys over any FieldSpec,
-the reference path, or int64 numpy matrices mod p.  `add(g)` ignores a member
-and otherwise searches only from the new elements, so the derived series grows
-each derived subgroup in place: by commutators, then by conjugates until it is
-normal.
+works on batches over a backend: exact `Matrix` arithmetic with canonical
+keys over any FieldSpec (the reference path; a batch is a list), or int64
+residues mod p (a batch is one (N, d, d) numpy array).  A frontier step costs
+one batch product per generator (mod p, a single (N d, d) @ (d, d) matmul),
+one batch of keys and one set-membership pass; a mod-p key is the bytes of a
+matrix cast to the narrowest unsigned type holding p - 1.  `add(g)` ignores a
+member and otherwise searches only from the new elements, so the derived
+series grows each derived subgroup in place: by commutators, then by
+conjugates until it is normal.
 
 For cyclotomic or rational generators the modular path maps the root of unity
 to an element of the same order in GF(p) for an odd prime p = 1 mod m,
@@ -123,7 +126,7 @@ def _as_generators(gens) -> MatrixGroupGen:
 
 
 class _ExactOps:
-    """Exact `Matrix` arithmetic over the generators' field."""
+    """Exact `Matrix` arithmetic over the generators' field; a batch is a list."""
 
     def __init__(self, spec: FieldSpec, degree: int):
         self.spec, self.degree = spec, degree
@@ -131,32 +134,58 @@ class _ExactOps:
     def identity(self) -> Matrix:
         return Matrix.identity(self.spec, self.degree)
 
-    def times(self, elements, g: Matrix) -> list[Matrix]:
-        return [el * g for el in elements]
+    def batch(self, mats) -> list[Matrix]:
+        return list(mats)
 
-    def key(self, mat: Matrix) -> bytes:
-        return mat.canonical_key()
+    def join(self, batches) -> list[Matrix]:
+        return [mat for batch in batches for mat in batch]
+
+    def take(self, batch, indices) -> list[Matrix]:
+        return [batch[i] for i in indices]
+
+    def times(self, batch, g: Matrix) -> list[Matrix]:
+        return [el * g for el in batch]
+
+    def keys(self, batch) -> list[bytes]:
+        return [mat.canonical_key() for mat in batch]
 
     def inverse(self, mat: Matrix) -> Matrix:
         return mat.inverse()
 
 
 class _ModpOps:
-    """int64 numpy matrices with entries in 0..p-1."""
+    """int64 numpy matrices with entries in 0..p-1; a batch is one (N, d, d) array.
+
+    A key is the bytes of a matrix cast to the narrowest unsigned type that
+    holds p - 1: 16 bytes for d = 4 and p < 256.
+    """
 
     def __init__(self, p: int, degree: int):
         import numpy as np  # here and in reduce_matrix_modp only: the exact path never loads it
 
         self.p, self.degree, self.np = p, degree, np
+        self.narrow = np.min_scalar_type(p - 1)
+        self.key_type = np.dtype((np.void, degree * degree * self.narrow.itemsize))
 
     def identity(self) -> np.ndarray:
         return self.np.eye(self.degree, dtype=self.np.int64)
 
-    def times(self, elements, g: np.ndarray) -> np.ndarray:
-        return self.np.stack(elements) @ g % self.p
+    def batch(self, mats) -> np.ndarray:
+        return self.np.stack(mats)
 
-    def key(self, mat: np.ndarray) -> bytes:
-        return mat.tobytes()
+    def join(self, batches) -> np.ndarray:
+        return self.np.concatenate(batches)
+
+    def take(self, batch, indices) -> np.ndarray:
+        return batch.take(indices, axis=0)
+
+    def times(self, batch, g: np.ndarray) -> np.ndarray:
+        d = self.degree
+        return (batch.reshape(-1, d) @ g % self.p).reshape(-1, d, d)
+
+    def keys(self, batch) -> list[bytes]:
+        narrow = batch.astype(self.narrow).reshape(len(batch), -1)
+        return narrow.view(self.key_type).ravel().tolist()
 
     def inverse(self, mat: np.ndarray) -> np.ndarray:
         try:
@@ -169,15 +198,18 @@ class _ModpOps:
 class _Enumeration:
     """All elements of the group generated by everything passed to `add`.
 
-    `gens` holds only the generators that enlarged the group, and `inverses`
-    their inverses.  More than `cap` elements raise CapExceeded.
+    The elements are kept as a list of batches, `chunks`, holding `order`
+    matrices in all, with one key each in `keys`.  `gens` holds only the
+    generators that enlarged the group, and `inverses` their inverses.  More
+    than `cap` elements raise CapExceeded.
     """
 
     def __init__(self, ops, cap: int, gens=()):
-        ident = ops.identity()
+        ident = ops.batch([ops.identity()])
         self.ops, self.cap = ops, cap
-        self.elements = [ident]
-        self.keys = {ops.key(ident)}
+        self.chunks = [ident]
+        self.order = 1
+        self.keys = set(ops.keys(ident))
         self.gens: list = []
         self.inverses: list = []
         for g in gens:
@@ -190,28 +222,35 @@ class _Enumeration:
         it finds are multiplied by all generators, so no old product is redone.
         """
         ops = self.ops
-        if ops.key(g) in self.keys:
+        if ops.keys(ops.batch([g]))[0] in self.keys:
             return
         self.inverses.append(ops.inverse(g))  # also rejects a singular g
         self.gens.append(g)
-        frontier, step = self.elements[:], [g]
-        while frontier:
-            new = []
+        frontier = ops.join(self.chunks)
+        self.chunks, step = [frontier], [g]
+        while True:
+            found = []
             for gen in step:
-                for prod in ops.times(frontier, gen):
-                    key = ops.key(prod)
-                    if key not in self.keys:
-                        if len(self.elements) >= self.cap:
-                            raise CapExceeded(f"group enumeration exceeded the cap of {self.cap}")
-                        self.keys.add(key)
-                        self.elements.append(prod)
-                        new.append(prod)
-            frontier, step = new, self.gens
+                prods = ops.times(frontier, gen)
+                keys = ops.keys(prods)
+                # products of distinct elements by one generator are distinct
+                fresh = [i for i, key in enumerate(keys) if key not in self.keys]
+                if not fresh:
+                    continue
+                if self.order + len(fresh) > self.cap:
+                    raise CapExceeded(f"group enumeration exceeded the cap of {self.cap}")
+                self.order += len(fresh)
+                self.keys.update(map(keys.__getitem__, fresh))
+                found.append(ops.take(prods, fresh))
+            if not found:
+                return
+            frontier, step = ops.join(found), self.gens
+            self.chunks.append(frontier)
 
 
 def _product(ops, first, *rest):
     for mat in rest:
-        first = ops.times([first], mat)[0]
+        first = ops.times(ops.batch([first]), mat)[0]
     return first
 
 
@@ -225,7 +264,7 @@ def _derived_series(group: _Enumeration) -> list[int]:
     (perfect derived subgroup).
     """
     ops = group.ops
-    orders = [len(group.elements)]
+    orders = [group.order]
     while orders[-1] != 1:
         pairs = list(zip(group.gens, group.inverses))
         sub = _Enumeration(ops, group.cap)
@@ -234,7 +273,7 @@ def _derived_series(group: _Enumeration) -> list[int]:
         for s in sub.gens:  # sub.gens grows during the loop
             for g, g_inv in pairs:
                 sub.add(_product(ops, g_inv, s, g))
-        orders.append(len(sub.elements))
+        orders.append(sub.order)
         if orders[-1] == orders[-2]:
             break
         group = sub
@@ -250,7 +289,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> ClosureResult:
         enum = _Enumeration(_ExactOps(group.spec, group.degree), cap, group.generators)
     except CapExceeded:
         return ClosureResult(status="cap_exceeded", order=None)
-    return ClosureResult("complete", len(enum.elements), frozenset(enum.keys), enum)
+    return ClosureResult("complete", enum.order, frozenset(enum.keys), enum)
 
 
 def contains_scalar(result: ClosureResult, lam: FieldElement, degree: int) -> bool:
@@ -427,8 +466,9 @@ def _modp_scalar_exponents(enum: _Enumeration, spec: FieldSpec, root: int | None
         m, base = 2, p - 1
     else:
         return []
-    ident = enum.ops.identity()
-    return [k for k in range(m) if enum.ops.key(ident * pow(base, k, p) % p) in enum.keys]
+    ops = enum.ops
+    scalars = ops.batch([ops.identity() * pow(base, k, p) % p for k in range(m)])
+    return [k for k, key in enumerate(ops.keys(scalars)) if key in enum.keys]
 
 
 def _modp_entry(group: MatrixGroupGen, p: int, cap: int, with_derived: bool) -> dict:
@@ -438,7 +478,7 @@ def _modp_entry(group: MatrixGroupGen, p: int, cap: int, with_derived: bool) -> 
     enum = _Enumeration(_ModpOps(p, group.degree), cap, reduced)
     entry = {
         "prime": p,
-        "order": len(enum.elements),
+        "order": enum.order,
         "scalar_exponents": _modp_scalar_exponents(enum, group.spec, root),
     }
     if with_derived:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from radonmono.cli import fixture_path, main
 
 
@@ -155,3 +157,19 @@ def test_group_prime_field_input(tmp_path, four_lines_doc):
     # SL(2, 5), which is perfect
     assert group["order"] == 120 and group["derived_series"] == [120, 120]
     assert group["solvable"] is False
+
+
+@pytest.mark.parametrize("bad", [["--primes", "7,x"], ["--cap", "0"], ["--cap", "-5"]])
+def test_group_rejects_bad_primes_and_caps(bad):
+    code, out, err = run_cli(["group", "--input", "fixture:scalar_group", *bad])
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err and "internal error" not in err
+
+
+def test_group_modular_cap_exceeded_reported():
+    code, out, err = run_cli(["group", "--input", "fixture:scalar_group", "--cap", "2"])
+    assert code == 0, err
+    group = json.loads(out)["group"]
+    assert group["mode"] == "modular" and group["status"] == "cap_exceeded"
+    assert group["cap"] == 2 and group["order"] is None
+    assert "decomposition" in group

@@ -323,4 +323,20 @@ def test_derived_series_against_sympy(seed):
         expected.append(expected[-1])  # a perfect subgroup ends our series twice
     assert derived_series([permutation_matrix(GF7, p) for p in perms]) == expected
     assert derived_series([permutation_matrix(Q, p) for p in perms]) == expected
-    assert modular_group_analysis([permutation_matrix(Q, p) for p in perms], [3, 5])["derived_series"] == expected
+    for primes in ([3, 5], [257, 263]):  # uint8 and uint16 keys
+        analysis = modular_group_analysis([permutation_matrix(Q, p) for p in perms], primes)
+        assert analysis["derived_series"] == expected
+
+
+def test_modular_keys_wider_than_a_byte(zariski_c_result):
+    # 271 and 277 are 1 mod 6, and their residues need two bytes per entry
+    gens = list(zariski_c_result.gtilde)
+    for primes in ([7, 13], [271, 277]):
+        analysis = modular_group_analysis(gens, primes)
+        assert analysis["order"] == 648
+        assert analysis["derived_series"] == [648, 216, 54, 27, 3, 1]
+    # the shear generates a group of order p whose (0, 1) entries take every
+    # residue, so a key that dropped the high bytes would merge elements
+    for p in (263, 65537):  # two- and four-byte residues
+        shear = Matrix.from_ints(FieldSpec.prime(p), [[1, 1], [0, 1]])
+        assert modular_group_analysis([shear], [p])["derived_series"] == [p, 1]
