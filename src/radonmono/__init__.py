@@ -35,7 +35,6 @@ from .group import (
 from .linalg import (
     Matrix,
     Subspace,
-    extend_basis,
     image,
     intersect,
     intertwiner_space,

@@ -13,30 +13,26 @@ deforms V^r by a block transvection of the blocks v_i and v_{i+1} only;
 `act_on_rows` applies a word to row vectors as one 2n-column update per
 letter while the tuple advances.  `phibar` moves only the dim W middle rows
 of the flag basis, and `word_matrix` moves the identity rows.
+
+Both conditions on H are linear forms: v_i lies in Im(g_i - 1) exactly when
+it kills the fixed column vectors of g_i.  So H is the left kernel of one
+nr x m matrix M, m = n + sum_i dim Fix(g_i), and every elimination here has
+at most m rows.  The flag basis (E, then rows of H, then unit vectors) is
+chosen greedily by two such eliminations, and the W coordinates of a moved
+row are read from M and E without inverting the nr x nr flag basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .braid import BraidWord, act_on_letter
 from .braid import act_on_tuple  # noqa: F401  (perfbench's tracer looks the action up here)
 from .errors import GeneratorOutOfRange, ProductNotIdentity, ShapeMismatch
 from .field import FieldElement
-from .linalg import (
-    Matrix,
-    Subspace,
-    extend_basis,
-    hstack,
-    image,
-    intersect,
-    kernel,
-    product_of,
-    row_times_matrix,
-    subspace_direct_sum,
-    vstack,
-)
+from .linalg import Matrix, Subspace, _Echelon, _reduce, hstack, image, kernel, product_of, row_times_matrix
+from .linalg import intersect  # noqa: F401  (perfbench's tracer looks the intersection up here)
 
 __all__ = [
     "TupleSpaces",
@@ -52,11 +48,14 @@ __all__ = [
 
 @dataclass
 class TupleSpaces:
-    """A tuple g with its cocycle data and the flag change of basis.
+    """A tuple g with its cocycle data and the flag basis of V^r.
 
-    The rows of `transition` are, in order, a basis of E, an extension to a
-    basis of H, and an extension to all of V^r; quotient maps are read off
-    as the middle dim_w x dim_w block after conjugating by it.
+    The rows of `transition` are, in order, the echelon basis of E, the rows
+    `middle` of the echelon basis of H that extend it to H, and the unit
+    vectors e_i, i in `complement`, that extend H to V^r.  `conditions` is
+    the nr x m matrix M with H = kernel(M).  `w_coordinates` reads the
+    coordinates of a vector on the middle rows with two small reductions,
+    so the nr x nr flag basis is never inverted.
     """
 
     g: tuple[Matrix, ...]
@@ -68,7 +67,28 @@ class TupleSpaces:
     dim_h: int
     dim_w: int
     transition: Matrix
-    transition_inv: Matrix
+    conditions: Matrix
+    middle: tuple[int, ...]
+    complement: tuple[int, ...]
+    modulo_e: _Echelon = field(repr=False)  # E in H-coordinates, columns reversed
+    coset: _Echelon = field(repr=False)  # [M_C | I], M_C the rows `complement` of M
+
+    def w_coordinates(self, v: Sequence[FieldElement]) -> list[FieldElement]:
+        """The middle dim_w entries of v T^-1, with T the flag basis.
+
+        With v = e + sum_J b_j h_j + sum_C a_k e_k, vM = a M_C: reducing
+        [vM | 0] against the echelon of [M_C | I] leaves [0 | -a].  Then
+        v - sum_C a_k e_k lies in H; reduced at the pivots of H against E,
+        it keeps only b, at the positions J.
+        """
+        m, zero = self.conditions.cols, self.conditions.spec.zero()
+        vm = [*row_times_matrix(v, self.conditions), *(zero for _ in self.complement)]
+        tail = _reduce(self.coset.rows, self.coset.pivots, vm)[m:]
+        h = list(v)
+        for i, a in zip(self.complement, tail):
+            h[i] = h[i] + a
+        x = _reduce(self.modulo_e.rows, self.modulo_e.pivots, [h[p] for p in reversed(self.H.pivots)])
+        return [x[self.dim_h - 1 - j] for j in self.middle]
 
 
 def _check_tuple(g: Sequence[Matrix]) -> tuple[int, int]:
@@ -86,21 +106,35 @@ def _check_tuple(g: Sequence[Matrix]) -> tuple[int, int]:
     return n, len(g)
 
 
-def compute_H(g: Sequence[Matrix]) -> Subspace:
-    """The cocycle space H of the tuple, canonical in V^r."""
+def _conditions(g: Sequence[Matrix]) -> Matrix:
+    """The nr x m matrix M whose left kernel is H, m = n + sum_i f_i.
+
+    Block row i holds, in its own f_i columns, a basis of the fixed column
+    vectors of g_i (v_i lies in Im(g_i - 1) exactly when it kills them), and
+    in the last n columns the suffix product g_{i+1}...g_r.
+    """
     n, r = _check_tuple(g)
     spec = g[0].spec
     ident = Matrix.identity(spec, n)
-    h1 = subspace_direct_sum([image(gi - ident) for gi in g])
-    # Stack the suffix products g_{i+1}...g_r as an (n*r) x n matrix; the
-    # left kernel is the summation condition.
-    suffix = [None] * (r + 1)
-    suffix[r] = ident
-    for i in range(r - 1, 0, -1):
-        suffix[i] = g[i] * suffix[i + 1]
-    stacked = vstack([suffix[i + 1] for i in range(r)])
-    h2 = kernel(stacked)
-    return intersect(h1, h2)
+    fixed = [kernel(Matrix(spec, tuple(zip(*(gi - ident).entries)), cols=n)).basis.entries for gi in g]
+    suffix = [ident] * r
+    for i in range(r - 2, -1, -1):
+        suffix[i] = g[i + 1] * suffix[i + 1]
+    width = sum(len(f) for f in fixed)
+    zero = spec.zero()
+    rows, offset = [], 0
+    for f, s in zip(fixed, suffix):
+        for k in range(n):
+            row = [zero] * width
+            row[offset : offset + len(f)] = [u[k] for u in f]
+            rows.append((*row, *s.entries[k]))
+        offset += len(f)
+    return Matrix(spec, tuple(rows), cols=width + n)
+
+
+def compute_H(g: Sequence[Matrix]) -> Subspace:
+    """The cocycle space H of the tuple, canonical in V^r."""
+    return kernel(_conditions(g))
 
 
 def compute_E(g: Sequence[Matrix]) -> Subspace:
@@ -111,25 +145,59 @@ def compute_E(g: Sequence[Matrix]) -> Subspace:
     return image(hstack([gi - ident for gi in g]))
 
 
+def extend_basis(
+    e: Subspace, h: Subspace, conditions: Matrix
+) -> tuple[Matrix, tuple[int, ...], tuple[int, ...], _Echelon]:
+    """The greedy flag basis through E, H = kernel(conditions) and V^r.
+
+    Its rows are the echelon basis of E, then each echelon row of H not in
+    the span of the rows before it, then each unit vector e_i likewise.  In
+    H-coordinates (the entries at the pivots of H) the H rows are unit
+    vectors, and the accepted ones are those off the pivots of E eliminated
+    with its columns reversed (a greedy unit extension is the complement of
+    the right-to-left column basis).  e_i modulo H maps to row i of the
+    conditions, so the accepted e_i are the greedy independent rows.
+    Returns the flag, the accepted H rows J, the accepted indices C and the
+    reversed echelon of E.
+    """
+    modulo_e = _Echelon(tuple(row[p] for p in reversed(h.pivots)) for row in e.basis.entries)
+    rejected = {h.dim - 1 - p for p in modulo_e.pivots}
+    middle = tuple(j for j in range(h.dim) if j not in rejected)
+    independent = _Echelon()
+    complement = tuple(i for i, row in enumerate(conditions.entries) if independent.add(row))
+    spec, size = e.spec, e.ambient_dim
+    one, zero = spec.one(), spec.zero()
+    units = (tuple(one if j == i else zero for j in range(size)) for i in complement)
+    rows = (*e.basis.entries, *(h.basis.entries[j] for j in middle), *units)
+    return Matrix(spec, rows, cols=size), middle, complement, modulo_e
+
+
 def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
     """Cocycle data of g together with the deterministic flag basis."""
-    n, r = _check_tuple(g)
-    e = compute_E(g)
-    h = compute_H(g)
-    if not h.contains(e):
+    conditions = _conditions(g)
+    e, h = compute_E(g), kernel(conditions)
+    if not (e.basis * conditions).is_zero():
         raise ShapeMismatch("coboundary space escapes the cocycle space")
-    t = extend_basis(e, h, n * r)
+    t, middle, complement, modulo_e = extend_basis(e, h, conditions)
+    one, zero, c = e.spec.one(), e.spec.zero(), len(complement)
+    coset = _Echelon(
+        (*conditions.entries[i], *(one if j == k else zero for j in range(c))) for k, i in enumerate(complement)
+    )
     return TupleSpaces(
         g=tuple(g),
-        n=n,
-        r=r,
+        n=g[0].rows,
+        r=len(g),
         H=h,
         E=e,
         dim_e=e.dim,
         dim_h=h.dim,
         dim_w=h.dim - e.dim,
         transition=t,
-        transition_inv=t.inverse(),
+        conditions=conditions,
+        middle=middle,
+        complement=complement,
+        modulo_e=modulo_e,
+        coset=coset,
     )
 
 
@@ -201,25 +269,28 @@ def phibar(
     word: BraidWord | Sequence[int],
     spaces: TupleSpaces | None = None,
     verify: bool = False,
+    targets: list[tuple[Matrix, ...]] | None = None,
 ) -> Matrix:
     """The map induced on the quotient W = H/E by a braid word.
 
     The dim_w middle rows of the source flag basis are moved through the
-    word by `act_on_rows` and multiplied by the middle dim_w columns of the
-    inverse flag basis.  The same source basis is used on both sides; for
-    words that move the tuple this reads the result in the source flag
-    coordinates.  With verify=True the basis rows of H and E are moved along
-    and the stability of the cocycle and coboundary spaces is checked exactly.
+    word by `act_on_rows`, and each moved row is read in the flag basis by
+    `TupleSpaces.w_coordinates`.  The same source basis is used on both
+    sides; for words that move the tuple this reads the result in the source
+    flag coordinates.  With verify=True the basis rows of H and E are moved
+    along and the stability of the cocycle and coboundary spaces is checked
+    exactly.  The tuple the word moves g to is appended to `targets` when
+    that list is given.
     """
     ts = spaces if spaces is not None else trafodat(g)
-    lo, hi = ts.dim_e, ts.dim_h
-    rows = [list(row) for row in ts.transition.entries[lo:hi]]
+    rows = [list(row) for row in ts.transition.entries[ts.dim_e : ts.dim_h]]
     checked = [list(row) for row in ts.H.basis.entries + ts.E.basis.entries] if verify else []
     target = act_on_rows(g, word, rows + checked)
     if verify:
         _verify_stability(ts, checked, target)
-    middle = Matrix(ts.transition.spec, tuple(tuple(row[lo:hi]) for row in ts.transition_inv.entries), cols=ts.dim_w)
-    return Matrix.from_rows(middle.spec, rows, cols=ts.n * ts.r) * middle
+    if targets is not None:
+        targets.append(target)
+    return Matrix.from_rows(ts.transition.spec, [ts.w_coordinates(row) for row in rows], cols=ts.dim_w)
 
 
 def _verify_stability(ts: TupleSpaces, moved: list[list[FieldElement]], target: Sequence[Matrix]):

@@ -35,10 +35,6 @@ class AmbientMismatch(RadonError):
     """Subspaces of different ambient dimension were combined."""
 
 
-class NotNested(RadonError):
-    """extend_basis received spaces that are not nested."""
-
-
 class Singular(RadonError):
     """Matrix inversion of a singular matrix."""
 

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 from .errors import (
     AmbientMismatch,
     FieldMismatch,
-    NotNested,
     ShapeMismatch,
     Singular,
 )
@@ -33,8 +32,6 @@ __all__ = [
     "kernel",
     "intersect",
     "subspace_sum",
-    "subspace_direct_sum",
-    "extend_basis",
     "intertwiner_space",
     "hstack",
     "vstack",
@@ -452,72 +449,6 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     if u.ambient_dim != w.ambient_dim:
         raise AmbientMismatch(f"ambient {u.ambient_dim} vs {w.ambient_dim}")
     return Subspace.from_rows(u.spec, u.ambient_dim, list(u.basis.entries) + list(w.basis.entries))
-
-
-def subspace_direct_sum(parts: Sequence[Subspace]) -> Subspace:
-    """Embed each part in consecutive coordinate blocks and take the sum."""
-    if not parts:
-        raise AmbientMismatch("direct sum of nothing")
-    spec = parts[0].spec
-    total = sum(p.ambient_dim for p in parts)
-    zero = spec.zero()
-    rows = []
-    offset = 0
-    for p in parts:
-        if p.spec != spec:
-            raise FieldMismatch("direct sum over different fields")
-        for row in p.basis.entries:
-            padded = [zero] * total
-            padded[offset : offset + p.ambient_dim] = list(row)
-            rows.append(padded)
-        offset += p.ambient_dim
-    return Subspace.from_rows(spec, total, rows)
-
-
-def extend_basis(inner: Subspace, outer: Subspace, ambient_dim: int | None = None) -> Matrix:
-    """Deterministic full flag basis through inner and outer.
-
-    Returns an invertible ambient x ambient matrix whose first dim(inner)
-    rows are the canonical basis of inner, the next dim(outer) - dim(inner)
-    rows extend it to outer (candidates: the echelon basis rows of outer in
-    order), and the remaining rows extend to the full space (candidates: the
-    standard basis vectors e_1, e_2, ... in increasing index).  Accepted
-    candidate rows are kept verbatim.
-    """
-    if inner.spec != outer.spec:
-        raise FieldMismatch("flag over different fields")
-    if inner.ambient_dim != outer.ambient_dim:
-        raise AmbientMismatch(f"ambient {inner.ambient_dim} vs {outer.ambient_dim}")
-    n = outer.ambient_dim if ambient_dim is None else ambient_dim
-    if n != outer.ambient_dim:
-        raise AmbientMismatch(f"ambient {n} vs {outer.ambient_dim}")
-    if not outer.contains(inner):
-        raise NotNested("inner subspace is not contained in the outer one")
-    spec = inner.spec
-    ech = _Echelon()
-    taken: list[Sequence[FieldElement]] = []
-
-    def try_add(row) -> bool:
-        if ech.add(row):
-            taken.append(tuple(row))
-            return True
-        return False
-
-    for row in inner.basis.entries:
-        try_add(row)
-    for row in outer.basis.entries:
-        try_add(row)
-        if len(taken) == outer.dim:
-            break
-    one, zero = spec.one(), spec.zero()
-    for i in range(n):
-        if len(taken) == n:
-            break
-        e_i = tuple(one if j == i else zero for j in range(n))
-        try_add(e_i)
-    if len(taken) != n:
-        raise NotNested("could not complete the basis")
-    return Matrix.from_rows(spec, taken, cols=n)
 
 
 def intertwiner_space(tuple_a: Sequence[Matrix], tuple_b: Sequence[Matrix]) -> Subspace:

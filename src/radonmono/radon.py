@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -103,6 +104,23 @@ def _check_shapes(fd: FundamentalData):
             raise ShapeMismatch("matrix field differs from the declared field")
 
 
+def _check_product(fd: FundamentalData) -> tuple[list[BraidWord], ValidationReport]:
+    """The expanded words and a report on shapes, strands and the product rule."""
+    _check_shapes(fd)
+    words = fd.words()  # raises StrandOutOfRange on bad letters
+    product_ok = product_of(fd.g).is_identity() if fd.g else True
+    warnings = [] if product_ok else ["ordered product of the monodromy tuple is not the identity"]
+    return words, ValidationReport(product_ok, True, True, warnings)
+
+
+def _note_moved(report: ValidationReport, g: Sequence[Matrix], targets: Sequence[tuple[Matrix, ...]]):
+    """Warn, in word order, about each word whose target tuple is not g."""
+    for idx, target in enumerate(targets):
+        if target != tuple(g):
+            report.vankampen_ok = False
+            report.warnings.append(f"braid word {idx + 1} does not fix the monodromy tuple")
+
+
 def validate(fd: FundamentalData) -> ValidationReport:
     """Check the product rule and the stability relations of the braid words.
 
@@ -110,19 +128,10 @@ def validate(fd: FundamentalData) -> ValidationReport:
     tuple not being fixed by some word) only warns, since arbitrary matrix
     tuples need not satisfy the relations that geometric data always do.
     """
-    _check_shapes(fd)
-    words = fd.words()  # raises StrandOutOfRange on bad letters
-    warnings: list[str] = []
-    product_ok = product_of(fd.g).is_identity() if fd.g else True
-    if not product_ok:
-        warnings.append("ordered product of the monodromy tuple is not the identity")
-    vankampen_ok = True
-    if product_ok:
-        for idx, word in enumerate(words):
-            if act_on_tuple(fd.g, word) != tuple(fd.g):
-                vankampen_ok = False
-                warnings.append(f"braid word {idx + 1} does not fix the monodromy tuple")
-    return ValidationReport(product_ok, vankampen_ok, True, warnings)
+    words, report = _check_product(fd)
+    if report.product_ok:
+        _note_moved(report, fd.g, [act_on_tuple(fd.g, word) for word in words])
+    return report
 
 
 def radon_rank(fd: FundamentalData) -> int:
@@ -136,13 +145,18 @@ def radon_rank(fd: FundamentalData) -> int:
 
 
 def radon_transform(fd: FundamentalData, verify: bool = False) -> RadonResult:
-    """Compute the output monodromy tuple in the deterministic flag basis."""
-    report = validate(fd)
+    """Compute the output monodromy tuple in the deterministic flag basis.
+
+    Each word moves the tuple once: the targets that `phibar` reaches decide
+    `vankampen_ok` and its warnings, as `validate` would.
+    """
+    words, report = _check_product(fd)
     if not report.product_ok:
         raise ProductNotIdentity("ordered product of the tuple is not the identity")
     ts = trafodat(fd.g)
-    words = fd.words()
-    gtilde = tuple(phibar(fd.g, w, ts, verify=verify) for w in words)
+    targets: list[tuple[Matrix, ...]] = []
+    gtilde = tuple(phibar(fd.g, w, ts, verify=verify, targets=targets) for w in words)
+    _note_moved(report, fd.g, targets)
 
     rank = radon_rank(fd)
     rank_matches = rank == ts.dim_w
@@ -197,8 +211,12 @@ def conjugacy_match(computed: Sequence[Matrix], target: Sequence[Matrix]) -> Mat
     """An invertible T with T^-1 * computed_i * T = target_i, or None.
 
     Solves the intertwiner space {T : computed_i T = T target_i} exactly and
-    first tests its basis elements for invertibility, then small integer
-    combinations when the space has dimension > 1.
+    tests its basis elements, then 40 seeded points that combine every
+    basis element with coefficients from 2d + 1 values.  det T is a
+    polynomial of degree d on the space, so when an invertible point exists
+    a draw misses it with probability at most d / (2d + 1) < 1/2
+    (Schwartz-Zippel), provided the field has more than 2d elements.  Every
+    candidate is verified exactly, so a returned T is always a conjugator.
     """
     if len(computed) != len(target):
         raise ShapeMismatch("tuples of different length")
@@ -207,36 +225,19 @@ def conjugacy_match(computed: Sequence[Matrix], target: Sequence[Matrix]) -> Mat
     d = computed[0].rows
     spec = computed[0].spec
     space = intertwiner_space(list(computed), list(target))
-    if space.dim == 0:
-        return None
-    candidates = [matrix_from_flat(spec, row, d) for row in space.basis.entries]
-
-    def ok(t: Matrix) -> Matrix | None:
+    basis = space.basis.entries
+    rng = random.Random(0)
+    values = [spec.from_int(c) for c in range(2 * d + 1)]
+    draws = ([rng.choice(values) for _ in basis] for _ in range(40 if space.dim > 1 else 0))
+    points = (tuple(sum((c * row[k] for c, row in zip(cs, basis)), spec.zero()) for k in range(d * d)) for cs in draws)
+    for flat in itertools.chain(basis, points):
+        t = matrix_from_flat(spec, flat, d)
         try:
             t_inv = t.inverse()
         except Singular:
-            return None
-        for c, tgt in zip(computed, target):
-            if t_inv * c * t != tgt:
-                return None
-        return t
-
-    for t in candidates:
-        found = ok(t)
-        if found is not None:
-            return found
-    if space.dim > 1:
-        span = candidates[: min(space.dim, 4)]
-        for coeffs in itertools.product(range(-2, 3), repeat=len(span)):
-            if all(c == 0 for c in coeffs):
-                continue
-            t = Matrix.zero(spec, d, d)
-            for c, b in zip(coeffs, span):
-                if c:
-                    t = t + b.scale(spec.from_int(c))
-            found = ok(t)
-            if found is not None:
-                return found
+            continue
+        if all(t_inv * c * t == tgt for c, tgt in zip(computed, target)):
+            return t
     return None
 
 

@@ -13,9 +13,9 @@ from radonmono.cocycle import (
     word_matrix,
     word_matrix_with_target,
 )
-from radonmono.errors import GeneratorOutOfRange, ProductNotIdentity
+from radonmono.errors import GeneratorOutOfRange, ProductNotIdentity, Singular
 from radonmono.field import FieldSpec
-from radonmono.linalg import Matrix, product_of, row_times_matrix
+from radonmono.linalg import Matrix, product_of, row_times_matrix, rref
 
 Q = FieldSpec.rational()
 Q6 = FieldSpec.cyclotomic(6)
@@ -164,6 +164,42 @@ def _random_tuple(rng, spec, n, r):
     return tuple(mats)
 
 
+def _fixed_vector_tuple(rng, spec, n, r):
+    """A product-one tuple whose first r - 1 entries are conjugates of
+    diagonal matrices with each eigenvalue 1 with probability 0.6, so most
+    have fixed vectors: identities, pseudo-reflections and others."""
+    mats = []
+    for _ in range(r - 1):
+        diag = [spec.one() if rng.random() < 0.6 else _random_entry(rng, spec) for _ in range(n)]
+        if any(d.is_zero() for d in diag):
+            diag = [spec.one()] * n
+        s = _random_invertible(rng, spec, n)
+        mats.append(s.inverse() * Matrix.diagonal(spec, diag) * s)
+    mats.append(product_of(mats).inverse())
+    return tuple(mats)
+
+
+def _aligned_tuple(rng, spec, n, r):
+    """A product-one tuple with g_{r-2} - 1 = [* | a] and g_{r-1} - 1 = a w
+    (n >= 2): E then has two proportional coordinates among the last pivots
+    of H, so the greedy pass over the rows of H skips one before the end."""
+    one = Matrix.identity(spec, n)
+    while True:
+        a = [_random_entry(rng, spec) for _ in range(n)]
+        w = [_random_entry(rng, spec) for _ in range(n)]
+        refl = one + Matrix.from_rows(spec, [[x * y for y in w] for x in a])
+        prev = one + Matrix.from_rows(spec, [[_random_entry(rng, spec) for _ in range(n - 1)] + [x] for x in a])
+        mats = [_random_invertible(rng, spec, n) for _ in range(r - 3)] + [prev, refl]
+        try:
+            mats.append(product_of(mats).inverse())
+        except Singular:
+            continue
+        return tuple(mats)
+
+
+TUPLE_KINDS = (_random_tuple, _fixed_vector_tuple, _aligned_tuple)
+
+
 def test_cocycle_rule_exact():
     rng = random.Random(1009)
     gf = FieldSpec.prime(5)
@@ -257,7 +293,7 @@ def dense_word(g, word):
 
 def dense_phibar(g, word, ts):
     """The middle dim_w block of T * dense_word * T^-1."""
-    conj = ts.transition * dense_word(g, word) * ts.transition_inv
+    conj = ts.transition * dense_word(g, word) * ts.transition.inverse()
     lo, hi = ts.dim_e, ts.dim_h
     return Matrix.from_rows(g[0].spec, [row[lo:hi] for row in conj.entries[lo:hi]], cols=ts.dim_w)
 
@@ -266,9 +302,9 @@ def dense_phibar(g, word, ts):
 def test_phibar_against_dense_product(spec):
     # random words mixing positive and negative letters, and the empty word
     rng = random.Random(f"phibar:{spec.label()}")
-    for _ in range(6):
-        n, r = rng.randint(1, 3), rng.randint(3, 5)
-        g = _random_tuple(rng, spec, n, r)
+    for case in range(12):
+        n, r = rng.randint(1 + (case % 3 == 2), 3), rng.randint(3, 5)
+        g = TUPLE_KINDS[case % 3](rng, spec, n, r)
         ts = trafodat(g)
         letters = [i for i in range(-(r - 1), r) if i != 0]
         for word in [[]] + [[rng.choice(letters) for _ in range(rng.randint(1, 6))] for _ in range(3)]:
@@ -276,3 +312,30 @@ def test_phibar_against_dense_product(spec):
             assert phibar(g, word, ts) == expected
             assert phibar(g, word, ts, verify=True) == expected
             assert word_matrix(g, word) == dense_word(g, word)
+
+
+def greedy_flag(e, h, size):
+    """The rows of E, then each row of H, then each unit vector e_i, each kept
+    when it raises the rank of the rows kept so far."""
+    spec = e.spec
+    kept = list(e.basis.entries)
+    units = [tuple(spec.one() if j == i else spec.zero() for j in range(size)) for i in range(size)]
+    for row in list(h.basis.entries) + units:
+        if rref(Matrix.from_rows(spec, kept + [row], cols=size))[2] > len(kept):
+            kept.append(row)
+    return Matrix.from_rows(spec, kept, cols=size)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.prime(7), Q, Q6], ids=["GF7", "Q", "Qzeta6"])
+def test_transition_is_the_greedy_flag(spec):
+    rng = random.Random(f"flag:{spec.label()}")
+    skipped = 0
+    for case in range(12):
+        n, r = rng.randint(1 + (case % 3 == 2), 3), rng.randint(3, 5)
+        g = TUPLE_KINDS[case % 3](rng, spec, n, r)
+        ts = trafodat(g)
+        assert ts.transition == greedy_flag(ts.E, ts.H, n * r)
+        skipped += ts.middle != tuple(range(ts.dim_w))
+    assert skipped  # some H row before the last one is not taken
+    ts = trafodat(minus_ones())
+    assert ts.transition == greedy_flag(ts.E, ts.H, 4)

@@ -8,16 +8,24 @@ group of order 648 over Q(zeta_6)) was recorded before the field elements
 moved to integer numerators over one denominator.  The `group` run on
 four_lines stays pinned at exit 1 ("primes disagree on order: 24 vs 120")
 until the modular path falls back or labels its answer.
+
+The inputs under `tests/data/` have rank two or three, pseudo-reflections
+and identity entries (so the fixed vectors of the g_i enter the cocycle
+conditions), and words that move the tuple (so the moved flag rows leave H
+and the unit-vector rows of the flag are read).  Their digests were recorded
+before the flag basis was built from the condition matrix.
 """
 
 import contextlib
 import hashlib
 import io
+import os
 
 import pytest
 
 from radonmono.cli import main
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 GOLDEN = [
@@ -45,6 +53,12 @@ GOLDEN = [
     ("group --input fixture:four_lines --exact --cap 2000", 0, "0c98de6fd91f2ebf0064e0197484e20ac7239f19eec2337614ca0027b2fda4ac", EMPTY),
     ("group --input fixture:scalar_group --exact --cap 2", 0, "b08c8c119bfb2423c3c4e020fc395117b4a66c71961a7a816cc50ae86686a1e3", EMPTY),
     ("group --input fixture:zariski_c --exact", 0, "332d2728202c51e06be4e7b12562481dcaeb40844716a20f1e4e8d616e310a0f", EMPTY),
+    ("compute --input data/gf101_moving_word.json", 0, "279c80feb753dae14dceb9f427f3449dc83895b23c77b7d41d7e85af3465862d", "e9bf7e5d38dcc6ce68172537c9f8ec8a96ed06dff66d51238d284b79e183d367"),
+    ("compute --input data/gf101_moving_word.json --verify", 0, "279c80feb753dae14dceb9f427f3449dc83895b23c77b7d41d7e85af3465862d", "e9bf7e5d38dcc6ce68172537c9f8ec8a96ed06dff66d51238d284b79e183d367"),
+    ("compute --input data/qz6_pseudo_reflections.json", 0, "de0edcdc212c712e83fa7359a0e1dfbc1cb4d01c9211a03bd70003f313d75de5", "e9bf7e5d38dcc6ce68172537c9f8ec8a96ed06dff66d51238d284b79e183d367"),
+    ("compute --input data/qz6_pseudo_reflections.json --verify", 0, "de0edcdc212c712e83fa7359a0e1dfbc1cb4d01c9211a03bd70003f313d75de5", "e9bf7e5d38dcc6ce68172537c9f8ec8a96ed06dff66d51238d284b79e183d367"),
+    ("compute --input data/q_identity_entry.json", 0, "291f47ce42ba06b1c9e501ab2087ce3b218474ee758d717cebef884c660248cc", "e9bf7e5d38dcc6ce68172537c9f8ec8a96ed06dff66d51238d284b79e183d367"),
+    ("compute --input data/q_identity_entry.json --verify", 0, "291f47ce42ba06b1c9e501ab2087ce3b218474ee758d717cebef884c660248cc", "e9bf7e5d38dcc6ce68172537c9f8ec8a96ed06dff66d51238d284b79e183d367"),
 ]
 
 
@@ -56,7 +70,7 @@ def _sha256(text: str) -> str:
 def test_golden_output(argv, code, out_digest, err_digest):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        got = main(argv.split())
+        got = main([os.path.join(DATA, a[5:]) if a.startswith("data/") else a for a in argv.split()])
     assert (got, _sha256(out.getvalue()), _sha256(err.getvalue())) == (code, out_digest, err_digest), (
         err.getvalue()
     )

@@ -5,7 +5,6 @@ import pytest
 
 from radonmono.errors import (
     AmbientMismatch,
-    NotNested,
     ShapeMismatch,
     Singular,
 )
@@ -13,7 +12,6 @@ from radonmono.field import FieldSpec
 from radonmono.linalg import (
     Matrix,
     Subspace,
-    extend_basis,
     hstack,
     image,
     intersect,
@@ -21,7 +19,6 @@ from radonmono.linalg import (
     kernel,
     matrix_from_flat,
     rref,
-    subspace_direct_sum,
     subspace_sum,
 )
 
@@ -118,36 +115,6 @@ def test_dimension_formula_on_random_subspaces():
         assert u.dim + w.dim == subspace_sum(u, w).dim + intersect(u, w).dim
 
 
-def test_extend_basis_examples():
-    full = Subspace.full(Q, 2)
-    assert extend_basis(full, full, 2) == Matrix.identity(Q, 2)
-
-    inner = Subspace.zero(Q, 2)
-    outer = Subspace.from_rows(Q, 2, [[Q.zero(), Q.one()]])
-    t = extend_basis(inner, outer, 2)
-    assert t == mat([[0, 1], [1, 0]])
-
-    with pytest.raises(NotNested):
-        extend_basis(outer, Subspace.from_rows(Q, 2, [[Q.one(), Q.zero()]]), 2)
-
-
-def test_extend_basis_flag_structure():
-    rng = random.Random(31337)
-    gf = FieldSpec.prime(7)
-    for _ in range(20):
-        n = rng.randint(2, 6)
-        rows = [[gf.from_int(rng.randrange(7)) for _ in range(n)] for _ in range(n)]
-        outer = Subspace.from_rows(gf, n, rows)
-        inner_rows = list(outer.basis.entries)[: rng.randint(0, outer.dim)]
-        inner = Subspace.from_rows(gf, n, inner_rows)
-        t = extend_basis(inner, outer, n)
-        t.inverse()  # invertibility
-        lead = Subspace.from_rows(gf, n, t.entries[: inner.dim])
-        assert lead == inner
-        middle = Subspace.from_rows(gf, n, t.entries[: outer.dim])
-        assert middle == outer
-
-
 def test_invert_golden():
     a = mat([[0, -1], [1, 2]])
     assert a.inverse() == mat([[2, 1], [-1, 0]])
@@ -168,11 +135,6 @@ def test_invert_times_self_on_random():
             continue
         assert inv * a == Matrix.identity(gf, n)
         assert a * inv == Matrix.identity(gf, n)
-
-
-def test_direct_sum():
-    lines = [Subspace.full(Q, 1) for _ in range(4)]
-    assert subspace_direct_sum(lines) == Subspace.full(Q, 4)
 
 
 def test_matrix_power():

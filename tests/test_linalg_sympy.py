@@ -146,6 +146,19 @@ def random_product_one_tuple(rng, spec, n, r):
     return mats + [product_of(mats).inverse()]
 
 
+def fixed_vector_tuple(rng, spec, n, r):
+    """A product-one tuple whose first r - 1 entries are conjugates of
+    diagonal matrices with some eigenvalues 1 (identities and
+    pseudo-reflections among them), so that each has fixed vectors."""
+    mats = []
+    while len(mats) < r - 1:
+        s = random_matrix(rng, spec, n, n)
+        diag = [spec.one() if rng.random() < 0.6 else random_entry(rng, spec) for _ in range(n)]
+        if to_sympy(s).rank() == n and not any(d.is_zero() for d in diag):
+            mats.append(s.inverse() * Matrix.diagonal(spec, diag) * s)
+    return mats + [product_of(mats).inverse()]
+
+
 def _row_space_basis(dm):
     """The nonzero rows of the RREF of dm, or None for the zero space."""
     red, pivots = dm.rref()
@@ -170,6 +183,7 @@ def _block_rows(blocks, dom):
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("seed", range(6))
 def test_cocycle_spaces_against_sympy(field, seed):
+    # Each seed checks a generic tuple and one whose entries have fixed vectors.
     # H = {(u_i (g_i - 1))_i : sum_i u_i (g_i - 1) g_{i+1}...g_r = 0}: the image
     # of the left kernel of the column of (g_i - 1) g_{i+1}...g_r under
     # diag(g_i - 1).  E is the row space of [g_1 - 1 | ... | g_r - 1].  Both
@@ -177,7 +191,12 @@ def test_cocycle_spaces_against_sympy(field, seed):
     spec = FIELDS[field]
     rng = random.Random(f"cocycle:{field}:{seed}")
     n, r = rng.randint(1, 3), rng.randint(3, 5)
-    tup = random_product_one_tuple(rng, spec, n, r)
+    for tup in (random_product_one_tuple(rng, spec, n, r), fixed_vector_tuple(rng, spec, n, r)):
+        _check_cocycle_spaces(tup)
+
+
+def _check_cocycle_spaces(tup):
+    n, r = tup[0].rows, len(tup)
     g = [to_sympy(m) for m in tup]
     dom = g[0].domain
     ident = DomainMatrix.eye(n, dom).to_dense()

@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 
 from radonmono.braid import expand, parse_braid
-from radonmono.errors import InputError, ProductNotIdentity, StrandOutOfRange
+from radonmono.errors import InputError, ProductNotIdentity, Singular, StrandOutOfRange
 from radonmono.field import FieldSpec
 from radonmono.group import reduce_element_modp
 from radonmono.linalg import Matrix, product_of
@@ -138,6 +139,34 @@ def test_conjugacy_match_basics():
     # mismatched tuples: no intertwiner
     other = [Matrix.from_ints(gf, [[2, 0], [0, 4]]), Matrix.from_ints(gf, [[1, 1], [0, 1]])]
     assert conjugacy_match(mats, other) is None
+
+
+def test_conjugacy_match_identity_tuples():
+    # the echelon basis of the 9-dimensional intertwiner space is singular
+    # element by element, so only a combination of all of them is invertible
+    i3 = Matrix.identity(Q, 3)
+    t = conjugacy_match([i3, i3], [i3, i3])
+    assert t is not None
+    t.inverse()
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.prime(101), Q, FieldSpec.cyclotomic(6)], ids=["GF101", "Q", "Qzeta6"])
+def test_conjugacy_match_repeated_eigenvalues(spec):
+    # diag(1, 1, 2) and its conjugates have a 5-dimensional intertwiner space
+    rng = random.Random(f"conj:{spec.label()}")
+    mats = [Matrix.from_ints(spec, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]), Matrix.identity(spec, 3)]
+    for _ in range(3):
+        while True:
+            s = Matrix.from_ints(spec, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
+            try:
+                s_inv = s.inverse()
+                break
+            except Singular:
+                continue
+        conj = [s_inv * m * s for m in mats]
+        t = conjugacy_match(mats, conj)
+        assert t is not None
+        assert all(t.inverse() * m * t == c for m, c in zip(mats, conj))
 
 
 def test_cross_characteristic_reduction(four_lines_doc):
