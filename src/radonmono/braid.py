@@ -1,10 +1,14 @@
-"""Braid words and their right action on matrix tuples.
+"""Braid words and their right action on matrix tuples and on V^r.
 
 Words in the braid group on r strands are flat sequences of nonzero letters
 in {-(r-1), ..., -1, 1, ..., r-1}; letter i stands for the i-th standard
 generator and -i for its inverse.  The surface syntax (powers, conjugation
 exponents) parses to a small expression tree which expands to flat words.
 Conjugation is x^y = y^(-1) * x * y.
+
+`act_on_rows` is the one braid action: it advances the tuple and moves rows
+of V^r by each letter's block transvection; `act_on_tuple` moves no rows.
+A plain letter list becomes a `BraidWord`, the one letter-range check.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import ParseError, ShapeMismatch, StrandOutOfRange
-from .linalg import Matrix
+from .field import FieldElement
+from .linalg import Matrix, row_times_matrix
 
 __all__ = [
     "BraidWord",
@@ -27,7 +32,7 @@ __all__ = [
     "free_reduce",
     "inverse_letters",
     "act_on_tuple",
-    "act_on_letter",
+    "act_on_rows",
     "braid_text",
 ]
 
@@ -125,34 +130,46 @@ def act_on_tuple(g: Sequence[Matrix], word: BraidWord | Sequence[int]) -> tuple[
     Letter i sends (..., g_i, g_{i+1}, ...) to (..., g_{i+1},
     g_{i+1}^-1 g_i g_{i+1}, ...); letter -i applies the inverse move.
     """
-    letters = word.letters if isinstance(word, BraidWord) else tuple(word)
-    r = len(g)
-    if isinstance(word, BraidWord) and word.strands != r:
-        raise ShapeMismatch(f"word on {word.strands} strands acting on an {r}-tuple")
-    gs = list(g)
-    for letter in letters:
-        a = abs(letter)
-        if a == 0 or a > r - 1:
-            raise StrandOutOfRange(f"letter {letter} outside the generators of B_{r}")
-        act_on_letter(gs, letter)
-    return tuple(gs)
+    return act_on_rows(g, word, [])
 
 
-def act_on_letter(gs: list[Matrix], letter: int) -> Matrix:
-    """Apply one in-range letter to the tuple `gs` in place.
+def act_on_rows(
+    g: Sequence[Matrix], word: BraidWord | Sequence[int], rows: list[list[FieldElement]]
+) -> tuple[Matrix, ...]:
+    """Right-multiply each row of V^r, in place, by the deformation of each
+    letter in turn while the tuple advances; return the advanced tuple.
 
-    Returns the one inverse the move takes: g_{i+1}^-1 for letter i and
-    g_i^-1 for letter -i, both of the tuple before the move.
+    With x and y the blocks i and i+1 of a row, g_i and g_{i+1} entries of
+    the current tuple, letter i sets x' = y and y' = x g_{i+1} + y - y g'
+    with g' = g_{i+1}^-1 g_i g_{i+1}; letter -i sets x' = (x g_{i+1} - x +
+    y) g_i^-1 and y' = x.  A plain letter list is checked as a word on
+    len(g) strands.
     """
-    i = abs(letter) - 1
-    gi, gi1 = gs[i], gs[i + 1]
-    if letter > 0:
-        inv = gi1.inverse()
-        gs[i], gs[i + 1] = gi1, inv * gi * gi1
-    else:
-        inv = gi.inverse()
-        gs[i], gs[i + 1] = gi * gi1 * inv, gi
-    return inv
+    if not isinstance(word, BraidWord):
+        word = BraidWord(len(g) or 1, tuple(word))  # the empty tuple takes only the empty word
+    elif word.strands != len(g):
+        raise ShapeMismatch(f"word on {word.strands} strands acting on an {len(g)}-tuple")
+    n = g[0].rows if g else 0
+    gs = list(g)
+    for letter in word.letters:
+        a = abs(letter)
+        top, mid, end = n * (a - 1), n * a, n * (a + 1)
+        gi, gi1 = gs[a - 1], gs[a]
+        if letter > 0:
+            conj = gi1.inverse() * gi * gi1
+            gs[a - 1], gs[a] = gi1, conj
+            for row in rows:
+                x, y = row[top:mid], row[mid:end]
+                xg, yc = row_times_matrix(x, gi1), row_times_matrix(y, conj)
+                row[top:end] = y + [s + t - u for s, t, u in zip(xg, y, yc)]
+        else:
+            inv = gi.inverse()
+            gs[a - 1], gs[a] = gi * gi1 * inv, gi
+            for row in rows:
+                x, y = row[top:mid], row[mid:end]
+                xg = row_times_matrix(x, gi1)
+                row[top:end] = [*row_times_matrix([s - t + u for s, t, u in zip(xg, x, y)], inv), *x]
+    return tuple(gs)
 
 
 # -- parser ---------------------------------------------------------------------

@@ -10,9 +10,10 @@ the coboundary space is E = {(v(g_1 - 1), ..., v(g_r - 1)) : v in V}, and
 the quotient W = H/E models the parabolic cohomology of the punctured line
 with coefficients in the rank-n local system defined by g.  A braid letter i
 deforms V^r by a block transvection of the blocks v_i and v_{i+1} only;
-`act_on_rows` applies a word to row vectors as one 2n-column update per
-letter while the tuple advances.  `phibar` moves only the dim W middle rows
-of the flag basis, and `word_matrix` moves the identity rows.
+`braid.act_on_rows`, the package's one braid action, applies a word to row
+vectors as one 2n-column update per letter while the tuple advances.
+`phibar` moves only the dim W middle rows of the flag basis, and
+`word_matrix` moves the identity rows.
 
 Both conditions on H are linear forms: v_i lies in Im(g_i - 1) exactly when
 it kills the fixed column vectors of g_i.  So H is the left kernel of one
@@ -27,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .braid import BraidWord, act_on_letter
+from .braid import BraidWord, act_on_rows
 from .braid import act_on_tuple  # noqa: F401  (perfbench's tracer looks the action up here)
-from .errors import GeneratorOutOfRange, ProductNotIdentity, ShapeMismatch
+from .errors import ProductNotIdentity, ShapeMismatch
 from .field import FieldElement
 from .linalg import Matrix, Subspace, _Echelon, _reduce, hstack, image, kernel, product_of, row_times_matrix
 from .linalg import intersect  # noqa: F401  (perfbench's tracer looks the intersection up here)
@@ -39,7 +40,6 @@ __all__ = [
     "compute_H",
     "compute_E",
     "trafodat",
-    "act_on_rows",
     "local_matrix",
     "word_matrix",
     "phibar",
@@ -113,8 +113,7 @@ def _conditions(g: Sequence[Matrix]) -> Matrix:
     vectors of g_i (v_i lies in Im(g_i - 1) exactly when it kills them), and
     in the last n columns the suffix product g_{i+1}...g_r.
     """
-    n, r = _check_tuple(g)
-    spec = g[0].spec
+    n, r, spec = g[0].rows, len(g), g[0].spec
     ident = Matrix.identity(spec, n)
     fixed = [kernel(Matrix(spec, tuple(zip(*(gi - ident).entries)), cols=n)).basis.entries for gi in g]
     suffix = [ident] * r
@@ -132,17 +131,21 @@ def _conditions(g: Sequence[Matrix]) -> Matrix:
     return Matrix(spec, tuple(rows), cols=width + n)
 
 
+def _coboundaries(g: Sequence[Matrix]) -> Subspace:
+    ident = Matrix.identity(g[0].spec, g[0].rows)
+    return image(hstack([gi - ident for gi in g]))
+
+
 def compute_H(g: Sequence[Matrix]) -> Subspace:
     """The cocycle space H of the tuple, canonical in V^r."""
+    _check_tuple(g)
     return kernel(_conditions(g))
 
 
 def compute_E(g: Sequence[Matrix]) -> Subspace:
     """The coboundary space E: the row space of [g_1 - 1 | ... | g_r - 1]."""
-    n, _ = _check_tuple(g)
-    spec = g[0].spec
-    ident = Matrix.identity(spec, n)
-    return image(hstack([gi - ident for gi in g]))
+    _check_tuple(g)
+    return _coboundaries(g)
 
 
 def extend_basis(
@@ -174,8 +177,9 @@ def extend_basis(
 
 def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
     """Cocycle data of g together with the deterministic flag basis."""
+    n, r = _check_tuple(g)
     conditions = _conditions(g)
-    e, h = compute_E(g), kernel(conditions)
+    e, h = _coboundaries(g), kernel(conditions)
     if not (e.basis * conditions).is_zero():
         raise ShapeMismatch("coboundary space escapes the cocycle space")
     t, middle, complement, modulo_e = extend_basis(e, h, conditions)
@@ -185,8 +189,8 @@ def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
     )
     return TupleSpaces(
         g=tuple(g),
-        n=g[0].rows,
-        r=len(g),
+        n=n,
+        r=r,
         H=h,
         E=e,
         dim_e=e.dim,
@@ -199,43 +203,6 @@ def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
         modulo_e=modulo_e,
         coset=coset,
     )
-
-
-def act_on_rows(
-    g: Sequence[Matrix], word: BraidWord | Sequence[int], rows: list[list[FieldElement]]
-) -> tuple[Matrix, ...]:
-    """Right-multiply each row of V^r, in place, by the deformation of each
-    letter in turn while the tuple advances; return the advanced tuple.
-
-    With x and y the blocks i and i+1 of a row, g_i and g_{i+1} entries of
-    the current tuple, letter i sets x' = y and y' = x g_{i+1} + y - y g'
-    with g' = g_{i+1}^-1 g_i g_{i+1}; letter -i sets x' = (x g_{i+1} - x +
-    y) g_i^-1 and y' = x.
-    """
-    if isinstance(word, BraidWord) and word.strands != len(g):
-        raise ShapeMismatch(f"word on {word.strands} strands for an {len(g)}-tuple")
-    letters = word.letters if isinstance(word, BraidWord) else word
-    n, r = g[0].rows, len(g)
-    current = list(g)
-    for letter in letters:
-        a = abs(letter)
-        if letter == 0 or a > r - 1:
-            raise GeneratorOutOfRange(f"letter {letter} outside 1..{r - 1}")
-        top, mid, end = n * (a - 1), n * a, n * (a + 1)
-        gi1 = current[a]
-        inv = act_on_letter(current, letter)
-        if letter > 0:
-            conj = current[a]  # g_{i+1}^-1 g_i g_{i+1}
-            for row in rows:
-                x, y = row[top:mid], row[mid:end]
-                xg, yc = row_times_matrix(x, gi1), row_times_matrix(y, conj)
-                row[top:end] = y + [s + t - u for s, t, u in zip(xg, y, yc)]
-        else:
-            for row in rows:  # inv is g_i^-1
-                x, y = row[top:mid], row[mid:end]
-                xg = row_times_matrix(x, gi1)
-                row[top:end] = [*row_times_matrix([s - t + u for s, t, u in zip(xg, x, y)], inv), *x]
-    return tuple(current)
 
 
 def local_matrix(g: Sequence[Matrix], letter: int) -> Matrix:

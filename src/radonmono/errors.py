@@ -47,10 +47,6 @@ class StrandOutOfRange(InputError):
     """Braid letter outside the generator range of the braid group."""
 
 
-class GeneratorOutOfRange(RadonError):
-    """Cocycle matrix requested for a generator index outside 1..r-1."""
-
-
 class ProductNotIdentity(InputError):
     """A monodromy tuple whose ordered product is not the identity."""
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Sequence
 
 from .errors import (
     BadPrime,
@@ -42,7 +42,6 @@ from .linalg import (
     _Echelon,
     hstack,
     image,
-    intersect,
     intertwiner_space,
     kernel,
     row_times_matrix,
@@ -108,12 +107,16 @@ class ClosureResult:
 
     status: str  # "complete" or "cap_exceeded"
     order: int | None
-    keys: frozenset[bytes] | None = None
     enumeration: _Enumeration | None = field(default=None, repr=False)  # reused by derived_series
 
     @property
     def complete(self) -> bool:
         return self.status == "complete"
+
+    @property
+    def keys(self) -> AbstractSet[bytes] | None:
+        """The canonical keys of the elements, shared with the enumeration: read only."""
+        return None if self.enumeration is None else self.enumeration.keys
 
 
 def _as_generators(gens) -> MatrixGroupGen:
@@ -289,7 +292,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> ClosureResult:
         enum = _Enumeration(_ExactOps(group.spec, group.degree), cap, group.generators)
     except CapExceeded:
         return ClosureResult(status="cap_exceeded", order=None)
-    return ClosureResult("complete", enum.order, frozenset(enum.keys), enum)
+    return ClosureResult("complete", enum.order, enum)
 
 
 def contains_scalar(result: ClosureResult, lam: FieldElement, degree: int) -> bool:
@@ -381,15 +384,13 @@ def invariant_decomposition(gens) -> dict:
     seed_dims = [spin(group, s).dim for s in seeds]
     fixed = fixed_subspace(group)
     moving = moving_subspace(group)
-    meets = 0
-    if fixed.dim and moving.dim:
-        meets = intersect(fixed, moving).dim
-    covers = subspace_sum(fixed, moving).dim == d
+    # fixed + moving = V and fixed meets moving in 0: both dims add up to d
+    span = subspace_sum(fixed, moving).dim
     summary = {
         "standard_seed_spin_dims": seed_dims,
         "fixed_dim": fixed.dim,
         "moving_dim": moving.dim,
-        "decomposes": covers and meets == 0,
+        "decomposes": span == d == fixed.dim + moving.dim,
         "moving_irreducible_by_spinning": None,
         "moving_endomorphism_dim": None,
     }

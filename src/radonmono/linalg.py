@@ -135,9 +135,6 @@ class Matrix:
     def __neg__(self):
         return Matrix(self.spec, tuple(tuple(-a for a in row) for row in self.entries), cols=self.cols)
 
-    def scale(self, scalar: FieldElement) -> "Matrix":
-        return Matrix(self.spec, tuple(tuple(scalar * a for a in row) for row in self.entries), cols=self.cols)
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -343,15 +340,6 @@ class Subspace:
     def zero(cls, spec: FieldSpec, ambient_dim: int) -> "Subspace":
         return cls(spec, ambient_dim, Matrix(spec, (), cols=ambient_dim), ())
 
-    @classmethod
-    def full(cls, spec: FieldSpec, ambient_dim: int) -> "Subspace":
-        return cls(
-            spec,
-            ambient_dim,
-            Matrix.identity(spec, ambient_dim),
-            tuple(range(ambient_dim)),
-        )
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -363,11 +351,6 @@ class Subspace:
 
     def contains_vector(self, vector: Sequence[FieldElement]) -> bool:
         return all(c.is_zero() for c in self.reduce_vector(vector))
-
-    def contains(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise AmbientMismatch("subspaces of different ambient dimension")
-        return all(self.contains_vector(row) for row in other.basis.entries)
 
     def coordinates(self, vector: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         """Coordinates of a member vector in the echelon basis."""

@@ -85,7 +85,6 @@ class RadonResult:
     dim_e: int
     dim_h: int
     dim_w: int
-    transition: Matrix
     gtilde: tuple[Matrix, ...]
     rank_formula: int
     rank_matches: bool
@@ -104,15 +103,6 @@ def _check_shapes(fd: FundamentalData):
             raise ShapeMismatch("matrix field differs from the declared field")
 
 
-def _check_product(fd: FundamentalData) -> tuple[list[BraidWord], ValidationReport]:
-    """The expanded words and a report on shapes, strands and the product rule."""
-    _check_shapes(fd)
-    words = fd.words()  # raises StrandOutOfRange on bad letters
-    product_ok = product_of(fd.g).is_identity() if fd.g else True
-    warnings = [] if product_ok else ["ordered product of the monodromy tuple is not the identity"]
-    return words, ValidationReport(product_ok, True, True, warnings)
-
-
 def _note_moved(report: ValidationReport, g: Sequence[Matrix], targets: Sequence[tuple[Matrix, ...]]):
     """Warn, in word order, about each word whose target tuple is not g."""
     for idx, target in enumerate(targets):
@@ -128,8 +118,12 @@ def validate(fd: FundamentalData) -> ValidationReport:
     tuple not being fixed by some word) only warns, since arbitrary matrix
     tuples need not satisfy the relations that geometric data always do.
     """
-    words, report = _check_product(fd)
-    if report.product_ok:
+    _check_shapes(fd)
+    words = fd.words()  # raises StrandOutOfRange on bad letters
+    product_ok = product_of(fd.g).is_identity() if fd.g else True
+    warnings = [] if product_ok else ["ordered product of the monodromy tuple is not the identity"]
+    report = ValidationReport(product_ok, True, True, warnings)
+    if product_ok:
         _note_moved(report, fd.g, [act_on_tuple(fd.g, word) for word in words])
     return report
 
@@ -147,18 +141,20 @@ def radon_rank(fd: FundamentalData) -> int:
 def radon_transform(fd: FundamentalData, verify: bool = False) -> RadonResult:
     """Compute the output monodromy tuple in the deterministic flag basis.
 
-    Each word moves the tuple once: the targets that `phibar` reaches decide
-    `vankampen_ok` and its warnings, as `validate` would.
+    `trafodat` checks the product rule.  Each word moves the tuple once: the
+    targets that `phibar` reaches decide `vankampen_ok` and its warnings, as
+    `validate` would.  The rank formula n(r-2) - sum_i dim Fix(g_i) is
+    n(r-1) - m, with m the column count of the condition matrix.
     """
-    words, report = _check_product(fd)
-    if not report.product_ok:
-        raise ProductNotIdentity("ordered product of the tuple is not the identity")
-    ts = trafodat(fd.g)
+    _check_shapes(fd)
+    words = fd.words()  # raises StrandOutOfRange on bad letters
+    ts = trafodat(fd.g)  # raises ProductNotIdentity
+    report = ValidationReport(True, True, True)
     targets: list[tuple[Matrix, ...]] = []
     gtilde = tuple(phibar(fd.g, w, ts, verify=verify, targets=targets) for w in words)
     _note_moved(report, fd.g, targets)
 
-    rank = radon_rank(fd)
+    rank = ts.n * (ts.r - 1) - ts.conditions.cols
     rank_matches = rank == ts.dim_w
     if not rank_matches:
         report.warnings.append(
@@ -181,7 +177,6 @@ def radon_transform(fd: FundamentalData, verify: bool = False) -> RadonResult:
         dim_e=ts.dim_e,
         dim_h=ts.dim_h,
         dim_w=ts.dim_w,
-        transition=ts.transition,
         gtilde=gtilde,
         rank_formula=rank,
         rank_matches=rank_matches,

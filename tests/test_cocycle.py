@@ -13,9 +13,10 @@ from radonmono.cocycle import (
     word_matrix,
     word_matrix_with_target,
 )
-from radonmono.errors import GeneratorOutOfRange, ProductNotIdentity, Singular
+from radonmono.errors import ProductNotIdentity, Singular, StrandOutOfRange
 from radonmono.field import FieldSpec
 from radonmono.linalg import Matrix, product_of, row_times_matrix, rref
+from radonmono.radon import FundamentalData, radon_rank, radon_transform
 
 Q = FieldSpec.rational()
 Q6 = FieldSpec.cyclotomic(6)
@@ -127,10 +128,23 @@ def test_local_matrix_identity_tuple_swap():
 
 
 def test_local_matrix_range():
-    with pytest.raises(GeneratorOutOfRange):
+    with pytest.raises(StrandOutOfRange):
         local_matrix(minus_ones(), 4)
-    with pytest.raises(GeneratorOutOfRange):
+    with pytest.raises(StrandOutOfRange):
         local_matrix(minus_ones(), 0)
+
+
+def test_out_of_range_letter_raises_strand_error():
+    g = minus_ones()
+    ts = trafodat(g)
+    for letter in (0, 4, -4):
+        with pytest.raises(StrandOutOfRange):
+            act_on_tuple(g, [1, letter])
+        with pytest.raises(StrandOutOfRange):
+            phibar(g, [letter], ts)
+        with pytest.raises(StrandOutOfRange):
+            word_matrix(g, [letter, 1])
+    assert act_on_tuple((), []) == ()
 
 
 def test_word_matrix_examples():
@@ -339,3 +353,19 @@ def test_transition_is_the_greedy_flag(spec):
     assert skipped  # some H row before the last one is not taken
     ts = trafodat(minus_ones())
     assert ts.transition == greedy_flag(ts.E, ts.H, 4)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.prime(101), Q, Q6], ids=["GF101", "Q", "Qzeta6"])
+def test_rank_formula_read_off_conditions_matches_radon_rank(spec):
+    # tuples with fixed vectors: pseudo-reflections and inserted identity entries
+    rng = random.Random(f"rank:{spec.label()}")
+    fixed_total = 0
+    for _ in range(10):
+        n, r = rng.randint(1, 3), rng.randint(3, 5)
+        g = _fixed_vector_tuple(rng, spec, n, r - 1)
+        k = rng.randrange(r)
+        g = g[:k] + (Matrix.identity(spec, n),) + g[k:]
+        fd = FundamentalData(spec=spec, n=n, r=r, g=g, omegas=())
+        assert radon_transform(fd).rank_formula == radon_rank(fd)
+        fixed_total += n * (r - 2) - radon_rank(fd)
+    assert fixed_total > 10 * 3  # the identity entries give at most 3 fixed vectors a case
