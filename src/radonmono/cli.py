@@ -98,7 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_group = sub.add_parser("group", help="analyze the group generated by the output tuple")
     common(p_group)
-    p_group.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP, help="element cap for closures")
+    p_group.add_argument(
+        "--cap",
+        type=_positive_int,
+        default=DEFAULT_CAP,
+        help="largest group order to compute; the modular chain holds only orbits, "
+        "so the cap bounds the order, not memory, unless --exact lists every element",
+    )
     p_group.add_argument("--primes", type=_int_list, default=None, help="comma separated modular primes")
     p_group.add_argument("--exact", action="store_true", help="force the exact closure")
     return parser

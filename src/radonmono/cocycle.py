@@ -91,7 +91,7 @@ class TupleSpaces:
         return [x[self.dim_h - 1 - j] for j in self.middle]
 
 
-def _check_tuple(g: Sequence[Matrix]) -> tuple[int, int]:
+def _check_shapes(g: Sequence[Matrix]) -> tuple[int, int]:
     if not g:
         raise ShapeMismatch("empty monodromy tuple")
     n = g[0].rows
@@ -101,9 +101,12 @@ def _check_tuple(g: Sequence[Matrix]) -> tuple[int, int]:
             raise ShapeMismatch("tuple entries over different fields")
         if not m.is_square() or m.rows != n:
             raise ShapeMismatch("tuple entries must be square of equal size")
-    if not product_of(g).is_identity():
-        raise ProductNotIdentity("ordered product of the tuple is not the identity")
     return n, len(g)
+
+
+def _check_product(product: Matrix) -> None:
+    if not product.is_identity():
+        raise ProductNotIdentity("ordered product of the tuple is not the identity")
 
 
 def _conditions(g: Sequence[Matrix]) -> Matrix:
@@ -111,14 +114,16 @@ def _conditions(g: Sequence[Matrix]) -> Matrix:
 
     Block row i holds, in its own f_i columns, a basis of the fixed column
     vectors of g_i (v_i lies in Im(g_i - 1) exactly when it kills them), and
-    in the last n columns the suffix product g_{i+1}...g_r.
+    in the last n columns the suffix product g_{i+1}...g_r.  The tuple's
+    product is checked as g_1 times the first suffix product.
     """
     n, r, spec = g[0].rows, len(g), g[0].spec
     ident = Matrix.identity(spec, n)
-    fixed = [kernel(Matrix(spec, tuple(zip(*(gi - ident).entries)), cols=n)).basis.entries for gi in g]
     suffix = [ident] * r
     for i in range(r - 2, -1, -1):
         suffix[i] = g[i + 1] * suffix[i + 1]
+    _check_product(g[0] * suffix[0])
+    fixed = [kernel(Matrix(spec, tuple(zip(*(gi - ident).entries)), cols=n)).basis.entries for gi in g]
     width = sum(len(f) for f in fixed)
     zero = spec.zero()
     rows, offset = [], 0
@@ -138,13 +143,14 @@ def _coboundaries(g: Sequence[Matrix]) -> Subspace:
 
 def compute_H(g: Sequence[Matrix]) -> Subspace:
     """The cocycle space H of the tuple, canonical in V^r."""
-    _check_tuple(g)
+    _check_shapes(g)
     return kernel(_conditions(g))
 
 
 def compute_E(g: Sequence[Matrix]) -> Subspace:
     """The coboundary space E: the row space of [g_1 - 1 | ... | g_r - 1]."""
-    _check_tuple(g)
+    _check_shapes(g)
+    _check_product(product_of(g))
     return _coboundaries(g)
 
 
@@ -177,7 +183,7 @@ def extend_basis(
 
 def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
     """Cocycle data of g together with the deterministic flag basis."""
-    n, r = _check_tuple(g)
+    n, r = _check_shapes(g)
     conditions = _conditions(g)
     e, h = _coboundaries(g), kernel(conditions)
     if not (e.basis * conditions).is_zero():

@@ -1,22 +1,20 @@
 """Finite matrix group analysis: closure, derived series, spinning, scalars.
 
-One breadth-first enumeration, `_Enumeration`, serves every group order.  It
-works on batches over a backend: exact `Matrix` arithmetic with canonical
-keys over any FieldSpec (the reference path; a batch is a list), or int64
-residues mod p (a batch is one (N, d, d) numpy array).  A frontier step costs
-one batch product per generator (mod p, a single (N d, d) @ (d, d) matmul),
-one batch of keys and one set-membership pass; a mod-p key is the bytes of a
-matrix cast to the narrowest unsigned type holding p - 1.  `add(g)` ignores a
-member and otherwise searches only from the new elements, so the derived
-series grows each derived subgroup in place: by commutators, then by
-conjugates until it is normal.
+Two engines compute group orders.  The exact path (`closure`, the `--exact`
+command) enumerates every element breadth-first with `Matrix` arithmetic
+over any FieldSpec, keyed by canonical keys: `_Enumeration`.  The modular
+path keeps no element list: `chain.StabilizerChain` is a stabilizer chain of
+the group mod p, built by deterministic Schreier-Sims with numpy.  Both
+engines offer `add(g)`, which ignores a member, so one derived series grows
+each derived subgroup in place: by commutators, then by conjugates until it
+is normal.  Both raise CapExceeded exactly when the order exceeds the cap.
 
 For cyclotomic or rational generators the modular path maps the root of unity
 to an element of the same order in GF(p) for an odd prime p = 1 mod m,
-enumerates mod p, and requires agreement across distinct primes.  For p > 2
+works mod p, and requires agreement across distinct primes.  For p > 2
 not dividing any generator denominator the reduction is injective on finite
 groups, so the modular order is the exact order whenever the generators embed.
-Over GF(p) the only prime is p itself, and the enumeration is exact.
+Over GF(p) the only prime is p itself, and the chain is exact.
 """
 
 from __future__ import annotations
@@ -51,6 +49,8 @@ from .linalg import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .chain import StabilizerChain
 
 __all__ = [
     "MatrixGroupGen",
@@ -125,139 +125,75 @@ def _as_generators(gens) -> MatrixGroupGen:
     return MatrixGroupGen.from_matrices(list(gens))
 
 
-# -- the enumeration engine and its two backends ------------------------------------
-
-
-class _ExactOps:
-    """Exact `Matrix` arithmetic over the generators' field; a batch is a list."""
-
-    def __init__(self, spec: FieldSpec, degree: int):
-        self.spec, self.degree = spec, degree
-
-    def identity(self) -> Matrix:
-        return Matrix.identity(self.spec, self.degree)
-
-    def batch(self, mats) -> list[Matrix]:
-        return list(mats)
-
-    def join(self, batches) -> list[Matrix]:
-        return [mat for batch in batches for mat in batch]
-
-    def take(self, batch, indices) -> list[Matrix]:
-        return [batch[i] for i in indices]
-
-    def times(self, batch, g: Matrix) -> list[Matrix]:
-        return [el * g for el in batch]
-
-    def keys(self, batch) -> list[bytes]:
-        return [mat.canonical_key() for mat in batch]
-
-    def inverse(self, mat: Matrix) -> Matrix:
-        return mat.inverse()
-
-
-class _ModpOps:
-    """int64 numpy matrices with entries in 0..p-1; a batch is one (N, d, d) array.
-
-    A key is the bytes of a matrix cast to the narrowest unsigned type that
-    holds p - 1: 16 bytes for d = 4 and p < 256.
-    """
-
-    def __init__(self, p: int, degree: int):
-        import numpy as np  # here and in reduce_matrix_modp only: the exact path never loads it
-
-        self.p, self.degree, self.np = p, degree, np
-        self.narrow = np.min_scalar_type(p - 1)
-        self.key_type = np.dtype((np.void, degree * degree * self.narrow.itemsize))
-
-    def identity(self) -> np.ndarray:
-        return self.np.eye(self.degree, dtype=self.np.int64)
-
-    def batch(self, mats) -> np.ndarray:
-        return self.np.stack(mats)
-
-    def join(self, batches) -> np.ndarray:
-        return self.np.concatenate(batches)
-
-    def take(self, batch, indices) -> np.ndarray:
-        return batch.take(indices, axis=0)
-
-    def times(self, batch, g: np.ndarray) -> np.ndarray:
-        d = self.degree
-        return (batch.reshape(-1, d) @ g % self.p).reshape(-1, d, d)
-
-    def keys(self, batch) -> list[bytes]:
-        narrow = batch.astype(self.narrow).reshape(len(batch), -1)
-        return narrow.view(self.key_type).ravel().tolist()
-
-    def inverse(self, mat: np.ndarray) -> np.ndarray:
-        try:
-            inv = Matrix.from_ints(FieldSpec.prime(self.p), mat.tolist()).inverse()
-        except Singular:
-            raise NonInvertibleGenerator(f"singular generator mod {self.p}") from None
-        return reduce_matrix_modp(inv, self.p)
+# -- the exact engine and the derived series of either engine -----------------------
+#
+# `_derived_series` reads from `_Enumeration` or `chain.StabilizerChain` only
+# `order`, `gens`, `inverses`, `add`, `product` and `trivial`, so one derived
+# series serves both.
 
 
 class _Enumeration:
     """All elements of the group generated by everything passed to `add`.
 
-    The elements are kept as a list of batches, `chunks`, holding `order`
-    matrices in all, with one key each in `keys`.  `gens` holds only the
-    generators that enlarged the group, and `inverses` their inverses.  More
-    than `cap` elements raise CapExceeded.
+    Exact `Matrix` arithmetic over the generators' field: `elements` lists
+    the `order` elements, each with its canonical key in `keys`.  `gens`
+    holds only the generators that enlarged the group, and `inverses` their
+    inverses.  More than `cap` elements raise CapExceeded.
     """
 
-    def __init__(self, ops, cap: int, gens=()):
-        ident = ops.batch([ops.identity()])
-        self.ops, self.cap = ops, cap
-        self.chunks = [ident]
-        self.order = 1
-        self.keys = set(ops.keys(ident))
-        self.gens: list = []
-        self.inverses: list = []
+    def __init__(self, spec: FieldSpec, degree: int, cap: int, gens=()):
+        ident = Matrix.identity(spec, degree)
+        self.spec, self.degree, self.cap = spec, degree, cap
+        self.elements = [ident]
+        self.keys = {ident.canonical_key()}
+        self.gens: list[Matrix] = []
+        self.inverses: list[Matrix] = []
         for g in gens:
             self.add(g)
 
-    def add(self, g) -> None:
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    def trivial(self) -> "_Enumeration":
+        return _Enumeration(self.spec, self.degree, self.cap)
+
+    @staticmethod
+    def product(first: Matrix, *rest: Matrix) -> Matrix:
+        for mat in rest:
+            first = first * mat
+        return first
+
+    def add(self, g: Matrix) -> None:
         """Extend the group by g; a member changes nothing.
 
         Every old element times g seeds the search, and only the new elements
         it finds are multiplied by all generators, so no old product is redone.
         """
-        ops = self.ops
-        if ops.keys(ops.batch([g]))[0] in self.keys:
+        if g.canonical_key() in self.keys:
             return
-        self.inverses.append(ops.inverse(g))  # also rejects a singular g
+        self.inverses.append(g.inverse())
         self.gens.append(g)
-        frontier = ops.join(self.chunks)
-        self.chunks, step = [frontier], [g]
+        frontier, step = self.elements, [g]
         while True:
             found = []
             for gen in step:
-                prods = ops.times(frontier, gen)
-                keys = ops.keys(prods)
-                # products of distinct elements by one generator are distinct
-                fresh = [i for i, key in enumerate(keys) if key not in self.keys]
-                if not fresh:
-                    continue
-                if self.order + len(fresh) > self.cap:
-                    raise CapExceeded(f"group enumeration exceeded the cap of {self.cap}")
-                self.order += len(fresh)
-                self.keys.update(map(keys.__getitem__, fresh))
-                found.append(ops.take(prods, fresh))
+                for el in frontier:
+                    prod = el * gen
+                    key = prod.canonical_key()
+                    if key in self.keys:
+                        continue
+                    if len(self.keys) >= self.cap:
+                        raise CapExceeded(f"group enumeration exceeded the cap of {self.cap}")
+                    self.keys.add(key)
+                    found.append(prod)
             if not found:
                 return
-            frontier, step = ops.join(found), self.gens
-            self.chunks.append(frontier)
+            self.elements.extend(found)
+            frontier, step = found, self.gens
 
 
-def _product(ops, first, *rest):
-    for mat in rest:
-        first = ops.times(ops.batch([first]), mat)[0]
-    return first
-
-
-def _derived_series(group: _Enumeration) -> list[int]:
+def _derived_series(group: _Enumeration | StabilizerChain) -> list[int]:
     """Orders of the group and its successive derived subgroups.
 
     The derived subgroup is the normal closure of the commutators of the
@@ -266,16 +202,15 @@ def _derived_series(group: _Enumeration) -> list[int]:
     The list stops at order 1 (solvable) or when the order stabilizes
     (perfect derived subgroup).
     """
-    ops = group.ops
     orders = [group.order]
     while orders[-1] != 1:
         pairs = list(zip(group.gens, group.inverses))
-        sub = _Enumeration(ops, group.cap)
+        sub = group.trivial()
         for (a, a_inv), (b, b_inv) in itertools.combinations(pairs, 2):
-            sub.add(_product(ops, a_inv, b_inv, a, b))
+            sub.add(group.product(a_inv, b_inv, a, b))
         for s in sub.gens:  # sub.gens grows during the loop
             for g, g_inv in pairs:
-                sub.add(_product(ops, g_inv, s, g))
+                sub.add(group.product(g_inv, s, g))
         orders.append(sub.order)
         if orders[-1] == orders[-2]:
             break
@@ -289,7 +224,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> ClosureResult:
     if cap < 1:
         raise CapExceeded("cap must be >= 1")
     try:
-        enum = _Enumeration(_ExactOps(group.spec, group.degree), cap, group.generators)
+        enum = _Enumeration(group.spec, group.degree, cap, group.generators)
     except CapExceeded:
         return ClosureResult(status="cap_exceeded", order=None)
     return ClosureResult("complete", enum.order, enum)
@@ -457,33 +392,32 @@ def reduce_matrix_modp(mat: Matrix, p: int, root: int | None = None) -> np.ndarr
     return np.array(data, dtype=np.int64)
 
 
-def _modp_scalar_exponents(enum: _Enumeration, spec: FieldSpec, root: int | None) -> list[int]:
+def _modp_scalar_exponents(chain: StabilizerChain, spec: FieldSpec, root: int | None) -> list[int]:
     # Exponents k with (root of unity)^k * identity in the group; rational
     # generators are scanned against +-1, prime-field generators skipped.
-    p = enum.ops.p
+    p = chain.p
     if spec.kind == "cyclotomic":
         m, base = spec.m, root
     elif spec.kind == "rational":
         m, base = 2, p - 1
     else:
         return []
-    ops = enum.ops
-    scalars = ops.batch([ops.identity() * pow(base, k, p) % p for k in range(m)])
-    return [k for k, key in enumerate(ops.keys(scalars)) if key in enum.keys]
+    return [k for k in range(m) if chain.contains(chain.ident * pow(base, k, p))]
 
 
 def _modp_entry(group: MatrixGroupGen, p: int, cap: int, with_derived: bool) -> dict:
-    # One prime per call, so each enumeration is freed before the next starts.
     root = root_of_unity_modp(group.spec.m, p) if group.spec.kind == "cyclotomic" else None
     reduced = [reduce_matrix_modp(g, p, root) for g in group.generators]
-    enum = _Enumeration(_ModpOps(p, group.degree), cap, reduced)
+    from .chain import StabilizerChain  # numpy and the chain load here: the exact path never does
+
+    chain = StabilizerChain(p, group.degree, cap, reduced)
     entry = {
         "prime": p,
-        "order": enum.order,
-        "scalar_exponents": _modp_scalar_exponents(enum, group.spec, root),
+        "order": chain.order,
+        "scalar_exponents": _modp_scalar_exponents(chain, group.spec, root),
     }
     if with_derived:
-        entry["derived_series"] = _derived_series(enum)
+        entry["derived_series"] = _derived_series(chain)
     return entry
 
 

@@ -13,7 +13,7 @@ from radonmono.cocycle import (
     word_matrix,
     word_matrix_with_target,
 )
-from radonmono.errors import ProductNotIdentity, Singular, StrandOutOfRange
+from radonmono.errors import ProductNotIdentity, ShapeMismatch, Singular, StrandOutOfRange
 from radonmono.field import FieldSpec
 from radonmono.linalg import Matrix, product_of, row_times_matrix, rref
 from radonmono.radon import FundamentalData, radon_rank, radon_transform
@@ -84,6 +84,17 @@ def test_product_precondition():
     bad = scalar_tuple(Q, Q.from_int(-1), 3)
     with pytest.raises(ProductNotIdentity):
         compute_H(bad)
+    # c b a = 1 but a b c = a b a^-1 b^-1 is not: the product is taken in order
+    a = Matrix.from_ints(Q, [[1, 1], [0, 1]])
+    b = Matrix.from_ints(Q, [[1, 0], [1, 1]])
+    reversed_product = (a, b, a.inverse() * b.inverse())
+    assert product_of(reversed_product[::-1]).is_identity()
+    for fn in (compute_H, compute_E, trafodat):
+        for g in (bad, reversed_product, (a,)):
+            with pytest.raises(ProductNotIdentity):
+                fn(g)
+        with pytest.raises(ShapeMismatch):  # the shape check comes first
+            fn((a, Matrix.from_ints(Q, [[2]])))
 
 
 def test_trafodat_dims():

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +10,7 @@ from radonmono.errors import (
     CapExceeded,
     NonInvertibleGenerator,
     OrderDisagreement,
+    Singular,
     ZeroSeed,
 )
 from radonmono.field import FieldSpec
@@ -340,3 +344,79 @@ def test_modular_keys_wider_than_a_byte(zariski_c_result):
     for p in (263, 65537):  # two- and four-byte residues
         shear = Matrix.from_ints(FieldSpec.prime(p), [[1, 1], [0, 1]])
         assert modular_group_analysis([shear], [p])["derived_series"] == [p, 1]
+
+
+# -- the mod-p stabilizer chain against the exact enumeration -----------------------
+
+
+def _random_integer_generators(seed):
+    rng = random.Random(seed)
+    p, d = rng.choice([3, 5, 7]), rng.randint(1, 3)
+    count = rng.randint(1, 3)
+    rows = []
+    while len(rows) < count:
+        cand = [[rng.choice([0, 0, 1, -1, rng.randrange(p)]) for _ in range(d)] for _ in range(d)]
+        try:
+            Matrix.from_ints(FieldSpec.prime(p), cand).inverse()
+        except Singular:
+            continue
+        rows.append(cand)
+    return p, d, rows
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_chain_matches_exact_enumeration(seed):
+    # Integer generators: the chain works on them over Q at the single prime
+    # p, the exact enumeration on the same matrices over GF(p).
+    p, d, rows = _random_integer_generators(seed)
+    gf = FieldSpec.prime(p)
+    cap = 3000
+    exact = closure([Matrix.from_ints(gf, r) for r in rows], cap=cap)
+    gens = [Matrix.from_ints(Q, r) for r in rows]
+    if not exact.complete:
+        with pytest.raises(CapExceeded):
+            modular_group_analysis(gens, [p], cap=cap)
+        return
+    series = derived_series(exact)
+    scalars = [k for k in (0, 1) if contains_scalar(exact, gf.from_int((-1) ** k), d)]
+    assert modular_group_analysis(gens, [p], cap=cap) == {
+        "primes": [p],
+        "order": exact.order,
+        "scalar_exponents": scalars,
+        "derived_series": series,
+        "solvable": series[-1] == 1,
+    }
+
+
+def _symplectic_transvection(spec, v):
+    # x -> x + <x, v> v on row vectors, with <x, y> = x J y^T and J = [[0, I], [-I, 0]]
+    jv = [v[2], v[3], -v[0], -v[1]]
+    return Matrix.from_ints(spec, [[(i == j) + jv[i] * v[j] for j in range(4)] for i in range(4)])
+
+
+def test_chain_sp45_beyond_the_default_cap():
+    gf5 = FieldSpec.prime(5)
+    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0)]
+    gens = [_symplectic_transvection(gf5, v) for v in basis]
+    # |Sp(4, 5)| = 5^4 (5^2 - 1)(5^4 - 1), and Sp(4, 5) is perfect
+    analysis = modular_group_analysis(gens, [5], cap=10**7)
+    assert analysis["order"] == 9_360_000
+    assert analysis["derived_series"] == [9_360_000, 9_360_000]
+    with pytest.raises(CapExceeded):
+        modular_group_analysis(gens, [5])
+
+
+def test_chain_cap_boundary_on_several_levels(zariski_cprime_result):
+    gens = list(zariski_cprime_result.gtilde)
+    analysis = modular_group_analysis(gens, [7], cap=155_520)
+    assert analysis["order"] == 155_520
+    assert analysis["derived_series"] == [155_520, 51_840, 51_840]
+    with pytest.raises(CapExceeded):
+        modular_group_analysis(gens, [7], cap=155_519)
+
+
+def test_import_leaves_numpy_unloaded():
+    code = "import sys, radonmono, radonmono.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
