@@ -2,21 +2,20 @@
 
 `StabilizerChain` is the modular engine of `group.modular_group_analysis`.
 It keeps no element list: memory grows with the sum of the orbit lengths,
-not with the order.  The module loads numpy, so `group` imports it only on
-the modular path.
+not with the order.  It uses no exact arithmetic: every inverse it holds is
+a product of inverses passed to `add`.  The module loads numpy, so `group`
+imports it only on the modular path.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from .errors import CapExceeded, NonInvertibleGenerator, Singular
-from .field import FieldSpec
-from .group import reduce_matrix_modp
-from .linalg import Matrix
+from .errors import CapExceeded
 
 
 class _Level:
@@ -57,10 +56,10 @@ class StabilizerChain:
     raised as soon as it passes `cap`, exactly when the order does.  A
     vector is keyed by its bytes cast to the narrowest unsigned type that
     holds p - 1.  `gens` holds only the generators that enlarged the group,
-    and `inverses` their inverses.
+    and `inverses` their inverses; the chain starts from (g, g^-1) `pairs`.
     """
 
-    def __init__(self, p: int, degree: int, cap: int, gens=()):
+    def __init__(self, p: int, degree: int, cap: int, pairs=()):
         self.p, self.degree, self.cap = p, degree, cap
         self.narrow = np.min_scalar_type(p - 1)
         self.key_type = np.dtype((np.void, degree * self.narrow.itemsize))
@@ -68,8 +67,8 @@ class StabilizerChain:
         self.levels: list[_Level] = []
         self.gens: list[np.ndarray] = []
         self.inverses: list[np.ndarray] = []
-        for g in gens:
-            self.add(g)
+        for pair in pairs:
+            self.add([pair])
 
     @property
     def order(self) -> int:
@@ -78,28 +77,28 @@ class StabilizerChain:
     def trivial(self) -> "StabilizerChain":
         return StabilizerChain(self.p, self.degree, self.cap)
 
-    def product(self, first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-        for mat in rest:
-            first = first @ mat % self.p
-        return first
-
     def contains(self, g: np.ndarray) -> bool:
         residue, _, drop = self._sift(g[None], 0)
         return not self._nontrivial(residue, drop)[0]
 
-    def add(self, g: np.ndarray) -> None:
-        """Extend the group by g; a member changes nothing.
+    def add(self, word) -> None:
+        """Extend the group by g, the product of a word of (x, x^-1) pairs; a member changes nothing.
 
-        g joins the top level's strong generators; the check of that level's
-        Schreier generators then finds what g adds to the stabilizers.
+        g^-1 is the reversed product of the inverses.  g joins the top
+        level's strong generators; the check of that level's Schreier
+        generators then finds what g adds to the stabilizers.
         """
+        g = self._product([x for x, _ in word])
         if self.contains(g):
             return
-        g_inv = _inverse_modp(g, self.p)  # also rejects a singular g
+        g_inv = self._product([x_inv for _, x_inv in reversed(word)])
         self.gens.append(g)
         self.inverses.append(g_inv)
         self._insert(g, g_inv, 0, 0)
         self._complete(0)
+
+    def _product(self, mats: list[np.ndarray]) -> np.ndarray:
+        return functools.reduce(lambda a, b: a @ b % self.p, mats)
 
     def _keys(self, vectors: np.ndarray) -> list[bytes]:
         return vectors.astype(self.narrow).view(self.key_type).ravel().tolist()
@@ -191,16 +190,8 @@ class StabilizerChain:
             # the first failing Schreier generator u_x s u_{xs}^-1, sifted again with its inverse
             n = bad[0]
             k, x = divmod(n, len(level.u))
-            h_inv = self.product(level.u[where[n]], level.inverses[k], level.u_inv[x])
+            h_inv = self._product([level.u[where[n]], level.inverses[k], level.u_inv[x]])
             residue, residue_inv, drop = self._sift(schreier[n][None], i + 1, h_inv[None])
             j = int(drop[0])
             self._insert(residue[0], residue_inv[0], i + 1, j)
             i = j
-
-
-def _inverse_modp(mat: np.ndarray, p: int) -> np.ndarray:
-    try:
-        inv = Matrix.from_ints(FieldSpec.prime(p), mat.tolist()).inverse()
-    except Singular:
-        raise NonInvertibleGenerator(f"singular generator mod {p}") from None
-    return reduce_matrix_modp(inv, p)

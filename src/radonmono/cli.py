@@ -9,6 +9,7 @@ from importlib import resources
 from .errors import CapExceeded, InputError, RadonError
 from .group import (
     DEFAULT_CAP,
+    MatrixGroupGen,
     closure,
     default_modular_primes,
     derived_series,
@@ -149,28 +150,28 @@ def cmd_group(args) -> int:
     result = radon_transform(fd, verify=args.verify)
     _warn(result.validation.warnings)
     doc = result_to_dict(result)
-    gens = list(result.gtilde)
+    group = MatrixGroupGen.from_matrices(result.gtilde) if result.gtilde else None
     group_doc: dict = {"cap": args.cap}
-    if result.dim_w == 0 or not gens:
+    if result.dim_w == 0 or not group:
         group_doc.update({"mode": "none", "order": 1 if result.dim_w == 0 else None})
     elif args.exact:
-        enum = closure(gens, cap=args.cap)
+        enum = closure(group, cap=args.cap)
         group_doc.update({"mode": "exact", "status": enum.status, "order": enum.order})
         if enum.complete:
             series = derived_series(enum)
             group_doc["derived_series"] = series
             group_doc["solvable"] = series[-1] == 1
     else:
-        primes = args.primes or default_modular_primes(fd.spec)
+        primes = args.primes or default_modular_primes(group)
         try:
-            analysis = modular_group_analysis(gens, primes, cap=args.cap)
+            analysis = modular_group_analysis(group, primes, cap=args.cap)
         except CapExceeded:
             group_doc.update({"mode": "modular", "status": "cap_exceeded", "order": None})
         else:
             group_doc.update({"mode": "modular", "status": "complete"})
             group_doc.update(analysis)
-    if gens:
-        group_doc["decomposition"] = invariant_decomposition(gens)
+    if group:
+        group_doc["decomposition"] = invariant_decomposition(group)
     doc["group"] = group_doc
     _write_output(dump_json(doc), args.output)
     return 0

@@ -5,21 +5,26 @@ command) enumerates every element breadth-first with `Matrix` arithmetic
 over any FieldSpec, keyed by canonical keys: `_Enumeration`.  The modular
 path keeps no element list: `chain.StabilizerChain` is a stabilizer chain of
 the group mod p, built by deterministic Schreier-Sims with numpy.  Both
-engines offer `add(g)`, which ignores a member, so one derived series grows
-each derived subgroup in place: by commutators, then by conjugates until it
-is normal.  Both raise CapExceeded exactly when the order exceeds the cap.
+offer `add(word)`: it extends the group by the product of a word of
+(x, x^-1) pairs, a member changing nothing, and forms the inverse from the
+word only for a new element.  So one derived series grows each derived
+subgroup in place, and no engine inverts a matrix: the generators come with
+the inverses `MatrixGroupGen` computed.  Both raise CapExceeded exactly
+when the order exceeds the cap.
 
 For cyclotomic or rational generators the modular path maps the root of unity
 to an element of the same order in GF(p) for an odd prime p = 1 mod m,
-works mod p, and requires agreement across distinct primes.  For p > 2
-not dividing any generator denominator the reduction is injective on finite
-groups, so the modular order is the exact order whenever the generators embed.
-Over GF(p) the only prime is p itself, and the chain is exact.
+works mod p, and requires agreement across distinct primes.  A prime that
+divides a denominator of a generator or its inverse is refused; for other
+p > 2 the reduction is injective on finite groups, so the modular order of a
+finite group is exact.  Over GF(p) the only prime is p; the chain is exact.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, AbstractSet, Sequence
 
@@ -75,11 +80,12 @@ DEFAULT_CAP = 500_000
 
 @dataclass(frozen=True)
 class MatrixGroupGen:
-    """A finite list of invertible generators of a matrix group."""
+    """A finite list of invertible generators of a matrix group, with their inverses."""
 
     spec: FieldSpec
     degree: int
     generators: tuple[Matrix, ...]
+    inverses: tuple[Matrix, ...]
 
     @classmethod
     def from_matrices(cls, gens: Sequence[Matrix]) -> "MatrixGroupGen":
@@ -87,18 +93,18 @@ class MatrixGroupGen:
         if not gens:
             raise ShapeMismatch("no generators")
         gens = tuple(dict.fromkeys(gens))
-        spec = gens[0].spec
-        d = gens[0].rows
+        spec, d = gens[0].spec, gens[0].rows
+        inverses = []
         for g in gens:
             if g.spec != spec:
                 raise FieldMismatch("generators over different fields")
             if not g.is_square() or g.rows != d:
                 raise ShapeMismatch("generators must be square of equal size")
             try:
-                g.inverse()
+                inverses.append(g.inverse())
             except Singular:
                 raise NonInvertibleGenerator("generator is singular") from None
-        return cls(spec=spec, degree=d, generators=gens)
+        return cls(spec, d, gens, tuple(inverses))
 
 
 @dataclass
@@ -128,8 +134,8 @@ def _as_generators(gens) -> MatrixGroupGen:
 # -- the exact engine and the derived series of either engine -----------------------
 #
 # `_derived_series` reads from `_Enumeration` or `chain.StabilizerChain` only
-# `order`, `gens`, `inverses`, `add`, `product` and `trivial`, so one derived
-# series serves both.
+# `order`, `gens`, `inverses`, `add` and `trivial`, and hands `add` words of
+# (x, x^-1) pairs, so one derived series serves both and inverts nothing.
 
 
 class _Enumeration:
@@ -138,18 +144,19 @@ class _Enumeration:
     Exact `Matrix` arithmetic over the generators' field: `elements` lists
     the `order` elements, each with its canonical key in `keys`.  `gens`
     holds only the generators that enlarged the group, and `inverses` their
-    inverses.  More than `cap` elements raise CapExceeded.
+    inverses; it starts from (g, g^-1) `pairs`.  More than `cap` elements
+    raise CapExceeded.
     """
 
-    def __init__(self, spec: FieldSpec, degree: int, cap: int, gens=()):
+    def __init__(self, spec: FieldSpec, degree: int, cap: int, pairs=()):
         ident = Matrix.identity(spec, degree)
         self.spec, self.degree, self.cap = spec, degree, cap
         self.elements = [ident]
         self.keys = {ident.canonical_key()}
         self.gens: list[Matrix] = []
         self.inverses: list[Matrix] = []
-        for g in gens:
-            self.add(g)
+        for pair in pairs:
+            self.add([pair])
 
     @property
     def order(self) -> int:
@@ -158,21 +165,17 @@ class _Enumeration:
     def trivial(self) -> "_Enumeration":
         return _Enumeration(self.spec, self.degree, self.cap)
 
-    @staticmethod
-    def product(first: Matrix, *rest: Matrix) -> Matrix:
-        for mat in rest:
-            first = first * mat
-        return first
+    def add(self, word) -> None:
+        """Extend the group by g, the product of a word of (x, x^-1) pairs; a member changes nothing.
 
-    def add(self, g: Matrix) -> None:
-        """Extend the group by g; a member changes nothing.
-
-        Every old element times g seeds the search, and only the new elements
-        it finds are multiplied by all generators, so no old product is redone.
+        g^-1 is the reversed product of the inverses.  Every old element
+        times g seeds the search, and only the new elements it finds are
+        multiplied by all generators, so no old product is redone.
         """
+        g = functools.reduce(operator.mul, [x for x, _ in word])
         if g.canonical_key() in self.keys:
             return
-        self.inverses.append(g.inverse())
+        self.inverses.append(functools.reduce(operator.mul, [x_inv for _, x_inv in reversed(word)]))
         self.gens.append(g)
         frontier, step = self.elements, [g]
         while True:
@@ -207,10 +210,10 @@ def _derived_series(group: _Enumeration | StabilizerChain) -> list[int]:
         pairs = list(zip(group.gens, group.inverses))
         sub = group.trivial()
         for (a, a_inv), (b, b_inv) in itertools.combinations(pairs, 2):
-            sub.add(group.product(a_inv, b_inv, a, b))
-        for s in sub.gens:  # sub.gens grows during the loop
+            sub.add([(a_inv, a), (b_inv, b), (a, a_inv), (b, b_inv)])
+        for s in zip(sub.gens, sub.inverses):  # both grow during the loop
             for g, g_inv in pairs:
-                sub.add(group.product(g_inv, s, g))
+                sub.add([(g_inv, g), s, (g, g_inv)])
         orders.append(sub.order)
         if orders[-1] == orders[-2]:
             break
@@ -224,18 +227,17 @@ def closure(gens, cap: int = DEFAULT_CAP) -> ClosureResult:
     if cap < 1:
         raise CapExceeded("cap must be >= 1")
     try:
-        enum = _Enumeration(group.spec, group.degree, cap, group.generators)
+        enum = _Enumeration(group.spec, group.degree, cap, zip(group.generators, group.inverses))
     except CapExceeded:
         return ClosureResult(status="cap_exceeded", order=None)
     return ClosureResult("complete", enum.order, enum)
 
 
-def contains_scalar(result: ClosureResult, lam: FieldElement, degree: int) -> bool:
+def contains_scalar(result: ClosureResult, lam: FieldElement) -> bool:
     """True when lambda * identity occurs in a completed closure."""
-    if not result.complete or result.keys is None:
+    if not result.complete:
         raise CapExceeded("closure did not complete")
-    spec = lam.spec
-    scalar = Matrix.diagonal(spec, [lam] * degree)
+    scalar = Matrix.diagonal(lam.spec, [lam] * result.enumeration.degree)
     return scalar.canonical_key() in result.keys
 
 
@@ -265,16 +267,19 @@ def spin(gens, seed: Sequence[FieldElement]) -> Subspace:
 
 def spin_subspace(gens, seed_space: Subspace) -> Subspace:
     """Smallest generator-stable subspace containing a whole subspace."""
-    group = _as_generators(gens)
+    return _spin(_as_generators(gens).generators, seed_space)
+
+
+def _spin(generators: Sequence[Matrix], seed_space: Subspace) -> Subspace:
     ech = _Echelon(seed_space.basis.entries)
     queue = list(seed_space.basis.entries)
     while queue:
         vec = queue.pop()
-        for gen in group.generators:
+        for gen in generators:
             img = row_times_matrix(vec, gen)
             if ech.add(img):
                 queue.append(img)
-    return ech.subspace(group.spec, group.degree)
+    return ech.subspace(seed_space.spec, seed_space.ambient_dim)
 
 
 def fixed_subspace(gens) -> Subspace:
@@ -312,33 +317,26 @@ def restricted_tuple(gens, space: Subspace) -> list[Matrix]:
 def invariant_decomposition(gens) -> dict:
     """Summary of the fixed line / moving summand decomposition by spinning."""
     group = _as_generators(gens)
-    d = group.degree
-    spec = group.spec
-    one, zero = spec.one(), spec.zero()
-    seeds = [[one if j == i else zero for j in range(d)] for i in range(d)]
-    seed_dims = [spin(group, s).dim for s in seeds]
+    d, spec = group.degree, group.spec
+    seed_dims = [spin(group, s).dim for s in Matrix.identity(spec, d).entries]
     fixed = fixed_subspace(group)
     moving = moving_subspace(group)
-    # fixed + moving = V and fixed meets moving in 0: both dims add up to d
-    span = subspace_sum(fixed, moving).dim
     summary = {
         "standard_seed_spin_dims": seed_dims,
         "fixed_dim": fixed.dim,
         "moving_dim": moving.dim,
-        "decomposes": span == d == fixed.dim + moving.dim,
+        # fixed + moving = V and fixed meets moving in 0: both dims add up to d
+        "decomposes": subspace_sum(fixed, moving).dim == d == fixed.dim + moving.dim,
         "moving_irreducible_by_spinning": None,
         "moving_endomorphism_dim": None,
     }
     if 0 < moving.dim:
+        # spun in the moving space's own coordinates, whose rows are shorter than ambient ones
         sub = restricted_tuple(group, moving)
-        sub_one, sub_zero = spec.one(), spec.zero()
-        all_full = True
-        for i in range(moving.dim):
-            seed = [sub_one if j == i else sub_zero for j in range(moving.dim)]
-            if spin(MatrixGroupGen(spec, moving.dim, tuple(sub)), seed).dim != moving.dim:
-                all_full = False
-                break
-        summary["moving_irreducible_by_spinning"] = all_full
+        seeds = Matrix.identity(spec, moving.dim).entries
+        summary["moving_irreducible_by_spinning"] = all(
+            _spin(sub, Subspace.from_rows(spec, moving.dim, [s])).dim == moving.dim for s in seeds
+        )
         summary["moving_endomorphism_dim"] = intertwiner_space(sub, sub).dim
     return summary
 
@@ -408,9 +406,13 @@ def _modp_scalar_exponents(chain: StabilizerChain, spec: FieldSpec, root: int | 
 def _modp_entry(group: MatrixGroupGen, p: int, cap: int, with_derived: bool) -> dict:
     root = root_of_unity_modp(group.spec.m, p) if group.spec.kind == "cyclotomic" else None
     reduced = [reduce_matrix_modp(g, p, root) for g in group.generators]
+    try:
+        inverses = [reduce_matrix_modp(g, p, root) for g in group.inverses]
+    except BadPrime as exc:
+        raise NonInvertibleGenerator(f"generator not invertible mod {p}: {exc}") from None
     from .chain import StabilizerChain  # numpy and the chain load here: the exact path never does
 
-    chain = StabilizerChain(p, group.degree, cap, reduced)
+    chain = StabilizerChain(p, group.degree, cap, zip(reduced, inverses))
     entry = {
         "prime": p,
         "order": chain.order,
@@ -437,8 +439,9 @@ def modular_group_analysis(
 
     The primes must be distinct, with degree * (p - 1)^2 < 2^63 so that int64
     products are exact; over Q and Q(zeta_m) they must be odd primes, over
-    GF(p) the only prime is p.  Raises OrderDisagreement when the primes
-    disagree on any computed value.
+    GF(p) the only prime is p.  A prime dividing a denominator of a generator
+    raises BadPrime, and of an inverse NonInvertibleGenerator.  Raises
+    OrderDisagreement when the primes disagree on any computed value.
     """
     group = _as_generators(gens)
     if not primes:
@@ -469,15 +472,19 @@ def modular_group_analysis(
     return result
 
 
-def default_modular_primes(spec: FieldSpec, count: int = 2) -> list[int]:
-    """[p] over GF(p); otherwise the smallest odd primes p = 1 mod m (m = 1 over Q)."""
+def default_modular_primes(gens, count: int = 2) -> list[int]:
+    """[p] over GF(p); otherwise the smallest odd primes p = 1 mod m (m = 1 over Q)
+    that divide no denominator of a generator or of its inverse."""
+    group = _as_generators(gens)
+    spec = group.spec
     if spec.kind == "prime":
         return [spec.p]
     m = spec.m if spec.kind == "cyclotomic" else 1
+    dens = {e.den for g in group.generators + group.inverses for row in g.entries for e in row}
     out: list[int] = []
     p = 3
     while len(out) < count:
-        if is_prime(p) and (p - 1) % m == 0:
+        if is_prime(p) and (p - 1) % m == 0 and all(den % p for den in dens):
             out.append(p)
         p += 2
     return out

@@ -75,13 +75,13 @@ def test_closure_contains_inverses():
 def test_contains_scalar():
     gen = scalar_matrix(Q6, Q6.gen(), 3)
     result = closure([gen])
-    assert contains_scalar(result, Q6.one(), 3)
-    assert contains_scalar(result, Q6.gen() ** 2, 3)
+    assert contains_scalar(result, Q6.one())
+    assert contains_scalar(result, Q6.gen() ** 2)
     minus = scalar_matrix(Q6, Q6.from_int(-1), 2)
     result2 = closure([minus])
-    assert not contains_scalar(result2, Q6.gen(), 2)
+    assert not contains_scalar(result2, Q6.gen())
     with pytest.raises(CapExceeded):
-        contains_scalar(closure([gen], cap=2), Q6.one(), 3)
+        contains_scalar(closure([gen], cap=2), Q6.one())
 
 
 def test_derived_series_abelian():
@@ -187,10 +187,13 @@ def test_derived_series_cap_exceeded():
 
 
 def test_default_modular_primes():
-    assert default_modular_primes(Q6) == [7, 13]
-    assert default_modular_primes(FieldSpec.rational()) == [3, 5]
-    assert default_modular_primes(FieldSpec.cyclotomic(4)) == [5, 13]
-    assert default_modular_primes(GF7) == [7]
+    def ident(spec):
+        return [Matrix.identity(spec, 2)]
+
+    assert default_modular_primes(ident(Q6)) == [7, 13]
+    assert default_modular_primes(ident(FieldSpec.rational())) == [3, 5]
+    assert default_modular_primes(ident(FieldSpec.cyclotomic(4))) == [5, 13]
+    assert default_modular_primes(ident(GF7)) == [7]
 
 
 def test_matrix_group_gen_validation():
@@ -368,7 +371,7 @@ def _random_integer_generators(seed):
 def test_chain_matches_exact_enumeration(seed):
     # Integer generators: the chain works on them over Q at the single prime
     # p, the exact enumeration on the same matrices over GF(p).
-    p, d, rows = _random_integer_generators(seed)
+    p, _, rows = _random_integer_generators(seed)
     gf = FieldSpec.prime(p)
     cap = 3000
     exact = closure([Matrix.from_ints(gf, r) for r in rows], cap=cap)
@@ -378,7 +381,7 @@ def test_chain_matches_exact_enumeration(seed):
             modular_group_analysis(gens, [p], cap=cap)
         return
     series = derived_series(exact)
-    scalars = [k for k in (0, 1) if contains_scalar(exact, gf.from_int((-1) ** k), d)]
+    scalars = [k for k in (0, 1) if contains_scalar(exact, gf.from_int((-1) ** k))]
     assert modular_group_analysis(gens, [p], cap=cap) == {
         "primes": [p],
         "order": exact.order,
@@ -420,3 +423,93 @@ def test_import_leaves_numpy_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+# -- inverses travel with the generators --------------------------------------------
+
+
+def test_engines_invert_no_matrix(zariski_c_result, monkeypatch):
+    group = MatrixGroupGen.from_matrices(list(zariski_c_result.gtilde))
+    calls = []
+    inverse = Matrix.inverse
+
+    def counting_inverse(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    assert derived_series(closure(group)) == [648, 216, 54, 27, 3, 1]
+    assert modular_group_analysis(group, [7, 13])["derived_series"] == [648, 216, 54, 27, 3, 1]
+    assert calls == []
+
+
+def _record_subgroups(monkeypatch, engine):
+    made = []
+    trivial = engine.trivial
+
+    def recording_trivial(self):
+        made.append(trivial(self))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "trivial", recording_trivial)
+    return made
+
+
+def test_stored_inverses_after_derived_series(monkeypatch):
+    import numpy as np
+
+    from radonmono.chain import StabilizerChain
+    from radonmono.group import _derived_series, _Enumeration
+
+    group = MatrixGroupGen.from_matrices(s4_generators())
+    enum = closure(group).enumeration
+    subgroups = _record_subgroups(monkeypatch, _Enumeration)
+    assert _derived_series(enum) == [24, 12, 4, 1]
+    for sub in [enum, *subgroups]:
+        assert sub.order == 1 or sub.gens
+        assert all((g * g_inv).is_identity() for g, g_inv in zip(sub.gens, sub.inverses, strict=True))
+
+    p = 5
+    pairs = zip(
+        [reduce_matrix_modp(g, p) for g in group.generators],
+        [reduce_matrix_modp(g, p) for g in group.inverses],
+    )
+    chain = StabilizerChain(p, group.degree, 10**4, pairs)
+    subgroups = _record_subgroups(monkeypatch, StabilizerChain)
+    assert _derived_series(chain) == [24, 12, 4, 1]
+
+    def assert_inverse(mats, invs):
+        assert len(mats) == len(invs)
+        for g, g_inv in zip(mats, invs):
+            assert (g @ g_inv % p == np.eye(group.degree, dtype=np.int64)).all()
+
+    for sub in [chain, *subgroups]:
+        assert sub.order == 1 or sub.gens
+        assert_inverse(sub.gens, sub.inverses)
+        for level in sub.levels:
+            assert_inverse(level.gens, level.inverses)
+            assert_inverse(level.u, level.u_inv)
+
+
+def test_prime_dividing_an_inverse_denominator_is_refused():
+    # -z - 2 has norm 7, so it has infinite order and its inverse is (z - 3)/7;
+    # mod 7 at z = 3 it reduces to 2, of order 3, which is no group order
+    z = Q6.gen()
+    gen = Matrix.from_rows(Q6, [[-z - Q6.from_int(2)]])
+    with pytest.raises(NonInvertibleGenerator):
+        modular_group_analysis([gen], [7, 13])
+    (inv,) = MatrixGroupGen.from_matrices([gen]).inverses
+    assert inv.entries[0][0] == (z - Q6.from_int(3)) / Q6.from_int(7)
+    assert default_modular_primes([gen]) == [13, 19]
+
+
+def test_default_primes_skip_generator_denominators():
+    # S3 as permutation matrices conjugated by diag(1, 1, 3): the 3-cycle has entries 3 and 1/3
+    conj = Matrix.diagonal(Q, [Q.one(), Q.one(), Q.from_int(3)])
+    gens = [conj.inverse() * permutation_matrix(Q, perm) * conj for perm in ((1, 0, 2), (1, 2, 0))]
+    with pytest.raises(BadPrime):
+        modular_group_analysis(gens, [3, 5])
+    primes = default_modular_primes(gens)
+    assert primes == [5, 7]
+    analysis = modular_group_analysis(gens, primes)
+    assert analysis["order"] == 6 and analysis["derived_series"] == [6, 3, 1]
