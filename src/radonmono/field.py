@@ -222,6 +222,46 @@ class FieldSpec:
         nums = _in_basis(self._powers, [v.numerator * (den // v.denominator) for v in vals])
         return _reduced(self, nums, den)
 
+    def dot(self, xs, ys) -> "FieldElement":
+        """sum(x * y) over the pairs of xs and ys, normalised once.
+
+        Over GF(p) this is one modulo.  In characteristic 0 the integer
+        convolutions of the numerators are summed over a running common
+        denominator, then reduced by the z^e table and the gcd once.
+        """
+        if self.kind == "prime":
+            return FieldElement(self, (sum(x.coeffs[0] * y.coeffs[0] for x, y in zip(xs, ys)) % self.p,))
+        powers = self._powers
+        d = len(powers[0])
+        conv = [0] * (2 * d - 1)
+        den = 1
+        for x, y in zip(xs, ys):
+            a, b = x.coeffs, y.coeffs
+            if not (any(a) and any(b)):
+                continue
+            e = x.den * y.den
+            if den % e:
+                g = gcd(den, e)
+                scale = e // g
+                conv = [c * scale for c in conv]
+                den *= scale
+            f = den // e
+            i = 0
+            for u in a:
+                if u:
+                    u *= f
+                    k = i
+                    for v in b:
+                        conv[k] += u * v
+                        k += 1
+                i += 1
+        nums = conv[:d]
+        for e in range(d, 2 * d - 1):
+            c = conv[e]
+            if c:
+                nums = [u + c * t for u, t in zip(nums, powers[e % len(powers)])]
+        return _reduced(self, nums, den)
+
 
 def _reduced(spec: FieldSpec, nums, den: int) -> "FieldElement":
     # The characteristic-0 element nums/den with den > 0 and gcd(den, *nums) = 1.

@@ -271,15 +271,18 @@ def spin_subspace(gens, seed_space: Subspace) -> Subspace:
 
 
 def _spin(generators: Sequence[Matrix], seed_space: Subspace) -> Subspace:
+    # Breadth-first images of the seed rows; an echelon that spans the whole
+    # ambient space can grow no further, so the search stops there.
+    n = seed_space.ambient_dim
     ech = _Echelon(seed_space.basis.entries)
     queue = list(seed_space.basis.entries)
-    while queue:
+    while queue and len(ech.rows) < n:
         vec = queue.pop()
         for gen in generators:
             img = row_times_matrix(vec, gen)
             if ech.add(img):
                 queue.append(img)
-    return ech.subspace(seed_space.spec, seed_space.ambient_dim)
+    return ech.subspace(seed_space.spec, n)
 
 
 def fixed_subspace(gens) -> Subspace:
@@ -330,7 +333,11 @@ def invariant_decomposition(gens) -> dict:
         "moving_irreducible_by_spinning": None,
         "moving_endomorphism_dim": None,
     }
-    if 0 < moving.dim:
+    if moving.dim == d:
+        # the moving space is V: its coordinates are the standard ones, already spun
+        summary["moving_irreducible_by_spinning"] = all(dim == d for dim in seed_dims)
+        summary["moving_endomorphism_dim"] = intertwiner_space(group.generators, group.generators).dim
+    elif moving.dim:
         # spun in the moving space's own coordinates, whose rows are shorter than ambient ones
         sub = restricted_tuple(group, moving)
         seeds = Matrix.identity(spec, moving.dim).entries

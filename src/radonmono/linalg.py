@@ -141,19 +141,14 @@ class Matrix:
         self._check_spec(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        zero = self.spec.zero()
-        oentries = other.entries
-        ocols = other.cols
-        out = []
-        for row in self.entries:
-            acc = [zero] * ocols
-            for k, a in enumerate(row):
-                if a.is_zero():
-                    continue
-                orow = oentries[k]
-                acc = [s + a * b for s, b in zip(acc, orow)]
-            out.append(tuple(acc))
-        return Matrix(self.spec, tuple(out), cols=ocols)
+        # One normalised dot product per entry; a 0-row `other` has `cols` empty columns.
+        columns = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
+        dot = self.spec.dot
+        return Matrix(
+            self.spec,
+            tuple(tuple(dot(row, col) for col in columns) for row in self.entries),
+            cols=other.cols,
+        )
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -296,6 +291,13 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
 
 
 def row_times_matrix(row: Sequence[FieldElement], mat: Matrix) -> tuple[FieldElement, ...]:
+    """The row vector times mat, accumulated one row of mat at a time.
+
+    Unlike `Matrix.__mul__` this does not go through `FieldSpec.dot`: a dot
+    per entry needs the columns of mat, and transposing mat on every call
+    (the nr x m condition matrix in `w_coordinates`, every letter in
+    `act_on_rows`) costs more than the single products save.
+    """
     if len(row) != mat.rows:
         raise ShapeMismatch(f"row of length {len(row)} times {mat.rows}x{mat.cols}")
     zero = mat.spec.zero()
@@ -435,7 +437,14 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
 
 
 def intertwiner_space(tuple_a: Sequence[Matrix], tuple_b: Sequence[Matrix]) -> Subspace:
-    """All matrices T with T*B_i = A_i*T, as row vectors of length d*d."""
+    """All matrices T with T*B_i = A_i*T, as row vectors of length d*d.
+
+    The pairs are solved one at a time inside the solutions so far: a basis
+    matrix T_k of those gives the condition row T_k*B - A*T_k, and the left
+    kernel of the condition rows holds the coefficients of the next
+    solutions.  Coefficients in reduced echelon form times a reduced echelon
+    basis are again one, with the basis pivots the kernel pivots select.
+    """
     if len(tuple_a) != len(tuple_b):
         raise ShapeMismatch("tuples of different length")
     if not tuple_a:
@@ -445,22 +454,20 @@ def intertwiner_space(tuple_a: Sequence[Matrix], tuple_b: Sequence[Matrix]) -> S
     for m in list(tuple_a) + list(tuple_b):
         if not m.is_square() or m.rows != d:
             raise ShapeMismatch("tuple entries must be square of equal size")
-    zero = spec.zero()
-    blocks = []
+    n = d * d
+    space = Subspace(spec, n, Matrix.identity(spec, n), tuple(range(n)))
     for a, b in zip(tuple_a, tuple_b):
-        # Column (p, q) of the constraint block holds the coefficient of
-        # T[pp][qq] in (T*B - A*T)[p][q].
-        cols = d * d
-        block = [[zero] * cols for _ in range(d * d)]
-        for pp in range(d):
-            for qq in range(d):
-                src = pp * d + qq
-                for q in range(d):
-                    block[src][pp * d + q] = block[src][pp * d + q] + b.entries[qq][q]
-                for p in range(d):
-                    block[src][p * d + qq] = block[src][p * d + qq] - a.entries[p][pp]
-        blocks.append(Matrix.from_rows(spec, block, cols=cols))
-    return kernel(hstack(blocks))
+        conditions = []
+        for row in space.basis.entries:
+            t = matrix_from_flat(spec, row, d)
+            conditions.append(tuple(e for r in (t * b - a * t).entries for e in r))
+        coeffs = kernel(Matrix(spec, tuple(conditions), cols=n))
+        if coeffs.dim < space.dim:
+            pivots = tuple(space.pivots[i] for i in coeffs.pivots)
+            space = Subspace(spec, n, coeffs.basis * space.basis, pivots)
+        if not space.dim:
+            break
+    return space
 
 
 def matrix_from_flat(spec: FieldSpec, flat: Sequence[FieldElement], d: int) -> Matrix:

@@ -231,3 +231,54 @@ if given is not None:
         for y in routes:
             assert (y.coeffs, y.den) == (x.coeffs, x.den)
             assert y == x and hash(y) == hash(x) and canonical_key(y) == canonical_key(x)
+
+
+DOT_SPECS = [FieldSpec.prime(7), FieldSpec.prime(101), FieldSpec.rational()] + [
+    FieldSpec.cyclotomic(m) for m in (3, 4, 5, 7, 12)
+]
+
+
+def _per_term_sum(spec, xs, ys):
+    return sum((x * y for x, y in zip(xs, ys)), spec.zero())
+
+
+def test_dot_examples():
+    for spec in DOT_SPECS:
+        assert spec.dot([], []) == spec.zero()
+        assert spec.dot([spec.zero()] * 3, [spec.one()] * 3) == spec.zero()
+        assert spec.dot([spec.one(), spec.from_int(2)], [spec.from_int(3), spec.from_int(4)]) == spec.from_int(11)
+    q = FieldSpec.rational()
+    # 1/2 * 1/3 + 1/4 * 2/3 = 1/3 over the running denominators 6 and 12
+    halves = [q.from_fraction(Fraction(1, 2)), q.from_fraction(Fraction(1, 4))]
+    thirds = [q.from_fraction(Fraction(1, 3)), q.from_fraction(Fraction(2, 3))]
+    assert q.dot(halves, thirds) == q.from_fraction(Fraction(1, 3))
+    z12 = FieldSpec.cyclotomic(12)
+    z = z12.gen()
+    # z^5 * z^7 = z^12 = 1: the product leaves the power basis and comes back
+    assert z12.dot([z**5, z12.from_fraction(Fraction(1, 6))], [z**7, z12.from_int(-6)]) == z12.zero()
+
+
+if given is not None:
+
+    @st.composite
+    def dot_case(draw):
+        spec = draw(st.sampled_from(DOT_SPECS))
+        if spec.kind == "prime":
+            value = st.integers(0, spec.p - 1).map(spec.from_int)
+        else:
+            coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+            value = st.lists(coeff, min_size=spec.degree, max_size=spec.degree).map(spec.element)
+        entry = st.one_of(st.just(spec.zero()), value)
+        n = draw(st.integers(0, 7))
+        xs = draw(st.lists(entry, min_size=n, max_size=n))
+        ys = draw(st.lists(entry, min_size=n, max_size=n))
+        return spec, xs, ys
+
+    @settings(max_examples=200, deadline=None)
+    @given(dot_case())
+    def test_dot_equals_per_term_sum(case):
+        spec, xs, ys = case
+        got, want = spec.dot(xs, ys), _per_term_sum(spec, xs, ys)
+        assert (got.coeffs, got.den) == (want.coeffs, want.den)
+        if spec.kind != "prime":
+            assert got.den > 0 and gcd(got.den, *got.coeffs) == 1

@@ -14,6 +14,12 @@ and identity entries (so the fixed vectors of the g_i enter the cocycle
 conditions), and words that move the tuple (so the moved flag rows leave H
 and the unit-vector rows of the flag are read).  Their digests were recorded
 before the flag basis was built from the condition matrix.
+
+The three `group` runs on `gf101_moving_word.json` and `fl72_1113.json` pin
+the exact closure and the invariant decomposition over GF(101) (d = 3, the
+exact closure stops at its cap) and over Q(zeta_6) (d = 2, order 72).  They
+were recorded before matrix products were normalised once per entry and
+before the decomposition stopped early.
 """
 
 import contextlib
@@ -59,6 +65,9 @@ GOLDEN = [
     ("compute --input data/qz6_pseudo_reflections.json --verify", 0, "de0edcdc212c712e83fa7359a0e1dfbc1cb4d01c9211a03bd70003f313d75de5", "e9bf7e5d38dcc6ce68172537c9f8ec8a96ed06dff66d51238d284b79e183d367"),
     ("compute --input data/q_identity_entry.json", 0, "291f47ce42ba06b1c9e501ab2087ce3b218474ee758d717cebef884c660248cc", "e9bf7e5d38dcc6ce68172537c9f8ec8a96ed06dff66d51238d284b79e183d367"),
     ("compute --input data/q_identity_entry.json --verify", 0, "291f47ce42ba06b1c9e501ab2087ce3b218474ee758d717cebef884c660248cc", "e9bf7e5d38dcc6ce68172537c9f8ec8a96ed06dff66d51238d284b79e183d367"),
+    ("group --input data/gf101_moving_word.json --exact --cap 2000", 0, "20c3948600ad2d148c721ec8f194dbb24bffafb718085733747c3326442a1364", "e9bf7e5d38dcc6ce68172537c9f8ec8a96ed06dff66d51238d284b79e183d367"),
+    ("group --input data/gf101_moving_word.json", 0, "f7e63cdd7113c4a0f5a6b3a597045e0d88ad7d690abf657e96ef0c315d60924a", "e9bf7e5d38dcc6ce68172537c9f8ec8a96ed06dff66d51238d284b79e183d367"),
+    ("group --input data/fl72_1113.json --exact", 0, "aaf6628f457246d449285200d8d6cd28424bc36a54867a8e8e80fd7a3ddfbc33", EMPTY),
 ]
 
 

@@ -26,10 +26,12 @@ from radonmono.group import (
     modular_order,
     moving_subspace,
     reduce_matrix_modp,
+    restricted_tuple,
     root_of_unity_modp,
     spin,
+    spin_subspace,
 )
-from radonmono.linalg import Matrix, row_times_matrix
+from radonmono.linalg import Matrix, Subspace, intertwiner_space, row_times_matrix
 
 Q6 = FieldSpec.cyclotomic(6)
 GF7 = FieldSpec.prime(7)
@@ -513,3 +515,124 @@ def test_default_primes_skip_generator_denominators():
     assert primes == [5, 7]
     analysis = modular_group_analysis(gens, primes)
     assert analysis["order"] == 6 and analysis["derived_series"] == [6, 3, 1]
+
+
+# -- spinning and the decomposition stop when they know ------------------------------
+
+
+def full_spin(gens, rows):
+    """The smallest generator-stable subspace containing the rows: breadth-first to the end."""
+    spec, d = gens[0].spec, gens[0].rows
+    found = list(Subspace.from_rows(spec, d, rows).basis.entries)
+    queue = list(found)
+    while queue:
+        vec = queue.pop()
+        for g in gens:
+            img = row_times_matrix(vec, g)
+            if not Subspace.from_rows(spec, d, found).contains_vector(img):
+                found.append(img)
+                queue.append(img)
+    return Subspace.from_rows(spec, d, found)
+
+
+def decomposition_by_restriction(gens):
+    """invariant_decomposition with the moving space always restricted to and spun in its own coordinates."""
+    group = MatrixGroupGen.from_matrices(gens)
+    d, spec = group.degree, group.spec
+    fixed, moving = fixed_subspace(group), moving_subspace(group)
+    sub = restricted_tuple(group, moving) if moving.dim else None
+    total = Subspace.from_rows(spec, d, fixed.basis.entries + moving.basis.entries)
+    return {
+        "standard_seed_spin_dims": [full_spin(group.generators, [s]).dim for s in Matrix.identity(spec, d).entries],
+        "fixed_dim": fixed.dim,
+        "moving_dim": moving.dim,
+        "decomposes": total.dim == d == fixed.dim + moving.dim,
+        "moving_irreducible_by_spinning": sub
+        and all(full_spin(sub, [s]).dim == moving.dim for s in Matrix.identity(spec, moving.dim).entries),
+        "moving_endomorphism_dim": sub and intertwiner_space(sub, sub).dim,
+    }
+
+
+def conjugated(gens, spec, seed):
+    """P^-1 g P for a seeded invertible P; the invariant subspaces move from U to U*P."""
+    rng = random.Random(seed)
+    d = gens[0].rows
+    while True:
+        p = Matrix.from_ints(spec, [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
+        try:
+            p_inv = p.inverse()
+            break
+        except Singular:
+            continue
+    return [p_inv * g * p for g in gens], p
+
+
+def two_plus_two():
+    """Two 2-dimensional summands of order-6 groups over Q(zeta_6), mixed by a generic base change."""
+    z, one, zero = Q6.gen(), Q6.one(), Q6.zero()
+    a = Matrix.from_rows(
+        Q6, [[z, zero, zero, zero], [zero, one, zero, zero], [zero, zero, zero, one], [zero, zero, one, zero]]
+    )
+    b = Matrix.from_rows(
+        Q6, [[zero, one, zero, zero], [one, zero, zero, zero], [zero, zero, z, zero], [zero, zero, zero, z**2]]
+    )
+    return conjugated([a, b], Q6, 3)
+
+
+def reflections_with_fixed_line():
+    """Two pseudo-reflections I + a^T b of order 6 over Q(zeta_6); both fix the row vector e_3, conjugated."""
+    z, one, zero = Q6.gen(), Q6.one(), Q6.zero()
+
+    def pseudo_reflection(a, b):
+        return Matrix.from_rows(
+            Q6, [[(one if i == j else zero) + a[i] * b[j] for j in range(3)] for i in range(3)]
+        )
+
+    r1 = pseudo_reflection([one, zero, zero], [z - 1, one, one])
+    r2 = pseudo_reflection([zero, one, zero], [one, z - 1, zero])
+    return conjugated([r1, r2], Q6, 5)
+
+
+@pytest.mark.parametrize("make", [two_plus_two, reflections_with_fixed_line])
+def test_spin_equals_full_breadth_first_search(make):
+    gens, p = make()
+    spec, d = gens[0].spec, gens[0].rows
+    # the standard seeds, and the rows of P, which lie in the summands or on the fixed line:
+    # spun from those, the search cannot stop early
+    seeds = list(Matrix.identity(spec, d).entries) + list(p.entries)
+    dims = set()
+    for seed in seeds:
+        got = spin(gens, seed)
+        assert got == full_spin(gens, [seed])
+        dims.add(got.dim)
+    assert d in dims and len(dims) > 1
+    for k in range(len(seeds) - 1):
+        pair = Subspace.from_rows(spec, d, seeds[k : k + 2])
+        assert spin_subspace(gens, pair) == full_spin(gens, pair.basis.entries)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: two_plus_two()[0],
+        lambda: reflections_with_fixed_line()[0],
+        lambda: [Matrix.from_ints(Q6, [[0, 1], [1, 0]])],
+        lambda: [Matrix.from_ints(GF7, [[0, -1], [1, -1]]), Matrix.from_ints(GF7, [[0, 1], [1, 0]])],
+        lambda: [scalar_matrix(Q6, Q6.gen(), 3)],
+    ],
+    ids=["two_plus_two", "reflections_with_fixed_line", "swap", "s3_gf7", "scalar"],
+)
+def test_decomposition_with_and_without_the_moving_space_shortcut(make):
+    gens = make()
+    deco = invariant_decomposition(gens)
+    assert deco == decomposition_by_restriction(gens)
+
+
+def test_decomposition_shortcut_is_taken_and_skipped():
+    # moving = V on the 2 + 2 module, whose standard seeds all spin to V although it is
+    # reducible; moving < V with a fixed line
+    reducible = invariant_decomposition(two_plus_two()[0])
+    assert reducible["moving_dim"] == 4 and reducible["moving_irreducible_by_spinning"] is True
+    assert reducible["moving_endomorphism_dim"] == 2
+    reflections = invariant_decomposition(reflections_with_fixed_line()[0])
+    assert reflections["fixed_dim"] == 1 and reflections["moving_dim"] == 2 and reflections["decomposes"]

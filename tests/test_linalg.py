@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -216,3 +217,137 @@ def test_shape_errors():
         mat([[1, 2]]) * mat([[1, 2]])
     with pytest.raises(ShapeMismatch):
         hstack([mat([[1]]), mat([[1], [2]])])
+
+
+# -- products normalised once per entry, and the pair-by-pair intertwiner space -----
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the properties below need hypothesis
+    given = None
+
+PRODUCT_SPECS = [FieldSpec.prime(7), FieldSpec.prime(101), Q] + [FieldSpec.cyclotomic(m) for m in (3, 4, 5, 7, 12)]
+
+
+def per_term_product(a, b):
+    """a * b with every entry the per-term sum of field products."""
+    zero = a.spec.zero()
+    rows = [
+        [sum((a.entries[i][t] * b.entries[t][j] for t in range(a.cols)), zero) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+    return Matrix.from_rows(a.spec, rows, cols=b.cols)
+
+
+def stacked_intertwiner_space(tuple_a, tuple_b):
+    """The left kernel of one d^2 x (k * d^2) block matrix, a block per pair."""
+    d, spec = tuple_a[0].rows, tuple_a[0].spec
+    zero = spec.zero()
+    blocks = []
+    for a, b in zip(tuple_a, tuple_b):
+        # Row (pp, qq) of a block holds, in column (p, q), the coefficient of
+        # T[pp][qq] in (T*B - A*T)[p][q].
+        block = [[zero] * (d * d) for _ in range(d * d)]
+        for pp in range(d):
+            for qq in range(d):
+                src = pp * d + qq
+                for q in range(d):
+                    block[src][pp * d + q] += b.entries[qq][q]
+                for p in range(d):
+                    block[src][p * d + qq] -= a.entries[p][pp]
+        blocks.append(Matrix.from_rows(spec, block, cols=d * d))
+    return kernel(hstack(blocks))
+
+
+@pytest.mark.parametrize("spec", PRODUCT_SPECS, ids=lambda s: s.label())
+def test_product_empty_shapes(spec):
+    for k, j in ((0, 0), (2, 0), (0, 3), (3, 2)):
+        wide = Matrix.zero(spec, k, 0) * Matrix.zero(spec, 0, j)  # k x 0 times 0 x j
+        assert (wide.rows, wide.cols) == (k, j) and wide == Matrix.zero(spec, k, j)
+        thin = Matrix.zero(spec, 0, k) * Matrix.zero(spec, k, j)  # 0 x k times k x j
+        assert (thin.rows, thin.cols, thin.entries) == (0, j, ())
+
+
+def test_product_mixed_denominators():
+    half, third = Q.from_fraction(Fraction(1, 2)), Q.from_fraction(Fraction(1, 3))
+    a = Matrix.from_rows(Q, [[half, third], [Q.zero(), half]])
+    b = Matrix.from_rows(Q, [[third, Q.zero()], [half, third]])
+    want = [[Fraction(1, 3), Fraction(1, 9)], [Fraction(1, 4), Fraction(1, 6)]]
+    assert a * b == per_term_product(a, b) == Matrix.from_rows(Q, [[Q.from_fraction(v) for v in row] for row in want])
+
+
+if given is not None:
+
+    def _entries(spec):
+        if spec.kind == "prime":
+            value = st.integers(0, spec.p - 1).map(spec.from_int)
+        else:
+            coeff = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+            value = st.lists(coeff, min_size=spec.degree, max_size=spec.degree).map(spec.element)
+        return st.one_of(st.just(spec.zero()), value)
+
+    def _matrix(draw, entry, spec, rows, cols):
+        grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        return Matrix.from_rows(spec, grid, cols=cols)
+
+    @st.composite
+    def product_case(draw):
+        spec = draw(st.sampled_from(PRODUCT_SPECS))
+        k, m, j = (draw(st.integers(0, 4)) for _ in range(3))
+        entry = _entries(spec)
+        return _matrix(draw, entry, spec, k, m), _matrix(draw, entry, spec, m, j)
+
+    @settings(max_examples=150, deadline=None)
+    @given(product_case())
+    def test_product_equals_per_term_sum(case):
+        a, b = case
+        got = a * b
+        assert (got.rows, got.cols) == (a.rows, b.cols)
+        assert got == per_term_product(a, b)
+
+    INTERTWINER_SPECS = [FieldSpec.prime(7), Q, FieldSpec.cyclotomic(6)]
+
+    @st.composite
+    def intertwiner_case(draw):
+        """Two tuples of d x d matrices: scalar, unrelated, conjugate or equal."""
+        spec = draw(st.sampled_from(INTERTWINER_SPECS))
+        d = draw(st.integers(1, 3))
+        k = draw(st.integers(1, 3))
+        entry = _entries(spec)
+        kind = draw(st.sampled_from(["scalar", "disjoint", "random", "conjugate", "same"]))
+        if kind in ("scalar", "disjoint"):
+            values = [draw(entry) for _ in range(k)]
+            tuple_a = [Matrix.diagonal(spec, [v] * d) for v in values]
+            # the first scalars differ for "disjoint", so only T = 0 solves that pair
+            shift = [spec.one() if kind == "disjoint" and i == 0 else spec.zero() for i in range(k)]
+            tuple_b = [Matrix.diagonal(spec, [v + s] * d) for v, s in zip(values, shift)]
+            return tuple_a, tuple_b
+        tuple_a = [_matrix(draw, entry, spec, d, d) for _ in range(k)]
+        if kind == "same":
+            return tuple_a, tuple_a
+        if kind == "random":
+            return tuple_a, [_matrix(draw, entry, spec, d, d) for _ in range(k)]
+        s = _matrix(draw, entry, spec, d, d)
+        try:
+            s_inv = s.inverse()
+        except Singular:
+            s, s_inv = Matrix.identity(spec, d), Matrix.identity(spec, d)
+        return tuple_a, [s_inv * a * s for a in tuple_a]
+
+    @settings(max_examples=150, deadline=None)
+    @given(intertwiner_case())
+    def test_intertwiner_space_equals_stacked_kernel(case):
+        tuple_a, tuple_b = case
+        got = intertwiner_space(tuple_a, tuple_b)
+        want = stacked_intertwiner_space(tuple_a, tuple_b)
+        assert got.basis == want.basis and got.pivots == want.pivots
+
+
+def test_intertwiner_space_dimension_extremes():
+    gf = FieldSpec.prime(7)
+    two, three = Matrix.diagonal(gf, [gf.from_int(2)] * 3), Matrix.diagonal(gf, [gf.from_int(3)] * 3)
+    everything = intertwiner_space([two, three], [two, three])
+    assert everything.dim == 9 and everything == stacked_intertwiner_space([two, three], [two, three])
+    nothing = intertwiner_space([two, two], [two, three])
+    assert nothing.dim == 0 and nothing == stacked_intertwiner_space([two, two], [two, three])

@@ -4,11 +4,14 @@ rref (form, pivots, rank), inverse, singularity and the left kernel (also on
 tall, wide and 0-column shapes) are compared on seeded random matrices, a
 share of them rank-deficient, over Q, GF(7) and Q(zeta_6); so are the
 cocycle spaces H and E of random product-one tuples.  Q(zeta_6) maps to
-QQ<sqrt(-3)> with zeta_6 = (1 + sqrt(-3)) / 2.
+QQ<sqrt(-3)> with zeta_6 = (1 + sqrt(-3)) / 2.  Matrix products over
+Q(zeta_5) and Q(zeta_12) are checked against products in QQ[z] reduced
+modulo the cyclotomic polynomial.
 """
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -223,6 +226,34 @@ def test_singular_examples():
         dependent = Matrix.from_ints(spec, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
         with pytest.raises(Singular):
             dependent.inverse()
+
+
+@pytest.mark.parametrize("m", (5, 12))
+def test_cyclotomic_product_against_sympy(m):
+    # Entries are polynomials in z over QQ: sympy multiplies the matrices in
+    # QQ[z] and reduces each entry modulo the m-th cyclotomic polynomial.
+    spec = FieldSpec.cyclotomic(m)
+    rng = random.Random(m)
+    ring, z = sympy.ring("z", sympy.QQ)
+    phi = ring.from_expr(sympy.cyclotomic_poly(m, sympy.Symbol("z")))
+
+    def entry():
+        if rng.random() < 0.25:
+            return spec.zero()
+        return spec.element([Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(spec.degree)])
+
+    def as_poly(e):
+        return sum((sympy.QQ(c, e.den) * z**k for k, c in enumerate(e.coeffs)), ring.zero)
+
+    a = Matrix.from_rows(spec, [[entry() for _ in range(4)] for _ in range(3)])
+    b = Matrix.from_rows(spec, [[entry() for _ in range(2)] for _ in range(4)])
+    want = DomainMatrix([[as_poly(e) for e in row] for row in a.entries], (3, 4), ring.to_domain()) * DomainMatrix(
+        [[as_poly(e) for e in row] for row in b.entries], (4, 2), ring.to_domain()
+    )
+    got = a * b
+    for i in range(3):
+        for j in range(2):
+            assert as_poly(got.entries[i][j]) == want[i, j].element.rem(phi)
 
 
 hypothesis = pytest.importorskip("hypothesis")
