@@ -18,7 +18,7 @@ from .braid import (
 from .cli import fixture_path
 from .cocycle import TupleSpaces, compute_E, compute_H, local_matrix, phibar, trafodat, word_matrix
 from .errors import RadonError
-from .field import FieldElement, FieldSpec, canonical_key, format_element, parse_element
+from .field import FieldElement, FieldSpec, format_element, parse_element
 from .group import (
     ClosureResult,
     MatrixGroupGen,

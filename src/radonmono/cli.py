@@ -49,8 +49,11 @@ def _write_output(text: str, output: str | None):
     if output in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output file {output}: {exc.strerror}") from None
 
 
 def _warn(messages):
@@ -83,16 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, verify=True):
         p.add_argument("--input", "-i", required=True, help="input JSON (or fixture:NAME)")
         p.add_argument("--output", "-o", default="-", help="output path, '-' for stdout")
-        p.add_argument("--verify", action="store_true", help="enable runtime stability assertions")
+        if verify:  # rank computes no transform, so it has nothing to verify
+            p.add_argument("--verify", action="store_true", help="enable runtime stability assertions")
 
     p_compute = sub.add_parser("compute", help="compute the output monodromy tuple")
     common(p_compute)
 
     p_rank = sub.add_parser("rank", help="print the expected output rank")
-    common(p_rank)
+    common(p_rank, verify=False)
 
     p_check = sub.add_parser("check", help="validate the input and test bundled relations")
     common(p_check)

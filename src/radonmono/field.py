@@ -25,7 +25,6 @@ __all__ = [
     "FieldElement",
     "parse_element",
     "format_element",
-    "canonical_key",
     "cyclotomic_polynomial",
     "totient",
     "is_prime",
@@ -444,20 +443,11 @@ class FieldElement:
     def __hash__(self):
         return hash((self.coeffs, self.den))
 
-    def key(self) -> bytes:
-        return canonical_key(self)
-
     def __str__(self):
         return format_element(self)
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.spec.label()}>"
-
-
-def canonical_key(a: FieldElement) -> bytes:
-    """Injective byte encoding of the canonical form (used for hashing)."""
-    s = a.spec
-    return f"{s.kind}:{s.p or s.m or 0}:{a.coeffs}/{a.den}".encode()
 
 
 def format_element(a: FieldElement) -> str:

@@ -2,15 +2,15 @@
 
 Two engines compute group orders.  The exact path (`closure`, the `--exact`
 command) enumerates every element breadth-first with `Matrix` arithmetic
-over any FieldSpec, keyed by canonical keys: `_Enumeration`.  The modular
-path keeps no element list: `chain.StabilizerChain` is a stabilizer chain of
-the group mod p, built by deterministic Schreier-Sims with numpy.  Both
-offer `add(word)`: it extends the group by the product of a word of
-(x, x^-1) pairs, a member changing nothing, and forms the inverse from the
-word only for a new element.  So one derived series grows each derived
-subgroup in place, and no engine inverts a matrix: the generators come with
-the inverses `MatrixGroupGen` computed.  Both raise CapExceeded exactly
-when the order exceeds the cap.
+over any FieldSpec and holds each once, in a set of exact matrices hashed by
+their entries: `_Enumeration`.  The modular path keeps no element list:
+`chain.StabilizerChain` is a stabilizer chain of the group mod p, built by
+deterministic Schreier-Sims with numpy.  Both offer `add(word)`: it extends
+the group by the product of a word of (x, x^-1) pairs, a member changing
+nothing, and forms the inverse from the word only for a new element.  So
+one derived series grows each derived subgroup in place, and no engine
+inverts a matrix: the generators come with the inverses `MatrixGroupGen`
+computed.  Both raise CapExceeded exactly when the order exceeds the cap.
 
 For cyclotomic or rational generators the modular path maps the root of unity
 to an element of the same order in GF(p) for an odd prime p = 1 mod m,
@@ -22,9 +22,7 @@ finite group is exact.  Over GF(p) the only prime is p; the chain is exact.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, AbstractSet, Sequence
 
@@ -47,6 +45,7 @@ from .linalg import (
     image,
     intertwiner_space,
     kernel,
+    product_of,
     row_times_matrix,
     subspace_sum,
     vstack,
@@ -120,9 +119,9 @@ class ClosureResult:
         return self.status == "complete"
 
     @property
-    def keys(self) -> AbstractSet[bytes] | None:
-        """The canonical keys of the elements, shared with the enumeration: read only."""
-        return None if self.enumeration is None else self.enumeration.keys
+    def keys(self) -> AbstractSet[Matrix] | None:
+        """The elements, shared with the enumeration: read only."""
+        return None if self.enumeration is None else self.enumeration.elements
 
 
 def _as_generators(gens) -> MatrixGroupGen:
@@ -141,18 +140,16 @@ def _as_generators(gens) -> MatrixGroupGen:
 class _Enumeration:
     """All elements of the group generated by everything passed to `add`.
 
-    Exact `Matrix` arithmetic over the generators' field: `elements` lists
-    the `order` elements, each with its canonical key in `keys`.  `gens`
-    holds only the generators that enlarged the group, and `inverses` their
-    inverses; it starts from (g, g^-1) `pairs`.  More than `cap` elements
-    raise CapExceeded.
+    Exact `Matrix` arithmetic over the generators' field: `elements` is the
+    set of the `order` elements, exact matrices hashed by their entries.
+    `gens` holds only the generators that enlarged the group, and `inverses`
+    their inverses; it starts from (g, g^-1) `pairs`.  More than `cap`
+    elements raise CapExceeded.
     """
 
     def __init__(self, spec: FieldSpec, degree: int, cap: int, pairs=()):
-        ident = Matrix.identity(spec, degree)
         self.spec, self.degree, self.cap = spec, degree, cap
-        self.elements = [ident]
-        self.keys = {ident.canonical_key()}
+        self.elements = {Matrix.identity(spec, degree)}
         self.gens: list[Matrix] = []
         self.inverses: list[Matrix] = []
         for pair in pairs:
@@ -172,27 +169,25 @@ class _Enumeration:
         times g seeds the search, and only the new elements it finds are
         multiplied by all generators, so no old product is redone.
         """
-        g = functools.reduce(operator.mul, [x for x, _ in word])
-        if g.canonical_key() in self.keys:
+        g = product_of([x for x, _ in word])
+        if g in self.elements:
             return
-        self.inverses.append(functools.reduce(operator.mul, [x_inv for _, x_inv in reversed(word)]))
+        self.inverses.append(product_of([x_inv for _, x_inv in reversed(word)]))
         self.gens.append(g)
-        frontier, step = self.elements, [g]
+        frontier, step = list(self.elements), [g]
         while True:
             found = []
             for gen in step:
                 for el in frontier:
                     prod = el * gen
-                    key = prod.canonical_key()
-                    if key in self.keys:
+                    if prod in self.elements:
                         continue
-                    if len(self.keys) >= self.cap:
+                    if len(self.elements) >= self.cap:
                         raise CapExceeded(f"group enumeration exceeded the cap of {self.cap}")
-                    self.keys.add(key)
+                    self.elements.add(prod)
                     found.append(prod)
             if not found:
                 return
-            self.elements.extend(found)
             frontier, step = found, self.gens
 
 
@@ -238,7 +233,7 @@ def contains_scalar(result: ClosureResult, lam: FieldElement) -> bool:
     if not result.complete:
         raise CapExceeded("closure did not complete")
     scalar = Matrix.diagonal(lam.spec, [lam] * result.enumeration.degree)
-    return scalar.canonical_key() in result.keys
+    return scalar in result.keys
 
 
 def derived_series(gens, cap: int = DEFAULT_CAP) -> list[int]:

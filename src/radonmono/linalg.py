@@ -43,14 +43,13 @@ __all__ = [
 class Matrix:
     """An immutable dense matrix over an exact field."""
 
-    __slots__ = ("spec", "rows", "cols", "entries", "_key")
+    __slots__ = ("spec", "rows", "cols", "entries")
 
     def __init__(self, spec: FieldSpec, entries: tuple[tuple[FieldElement, ...], ...], cols: int | None = None):
         self.spec = spec
         self.entries = entries
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else (cols if cols is not None else 0)
-        self._key = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -190,14 +189,9 @@ class Matrix:
             and self.entries == other.entries
         )
 
-    def canonical_key(self) -> bytes:
-        if self._key is None:
-            body = b";".join(e.key() for row in self.entries for e in row)
-            self._key = b"%d,%d|" % (self.rows, self.cols) + body
-        return self._key
-
     def __hash__(self):
-        return hash(self.canonical_key())
+        # entries are canonical field elements, so equal matrices hash alike
+        return hash(self.entries)
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)

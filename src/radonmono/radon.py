@@ -239,6 +239,11 @@ def conjugacy_match(computed: Sequence[Matrix], target: Sequence[Matrix]) -> Mat
 # -- JSON interface -------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, JSON's true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_fundamental_data(doc: dict, source: str = "<input>") -> FundamentalData:
     """Parse and validate the JSON input document."""
     if not isinstance(doc, dict):
@@ -248,7 +253,7 @@ def parse_fundamental_data(doc: dict, source: str = "<input>") -> FundamentalDat
         if key not in doc:
             raise InputError(f"{source}: missing key {key!r} in {where}")
         value = doc[key]
-        if not isinstance(value, kind):
+        if not (_is_int(value) if kind is int else isinstance(value, kind)):
             raise InputError(f"{source}: key {key!r} has the wrong type")
         return value
 
@@ -257,11 +262,11 @@ def parse_fundamental_data(doc: dict, source: str = "<input>") -> FundamentalDat
     if kind == "rational":
         spec = FieldSpec.rational()
     elif kind == "prime":
-        if not isinstance(fdoc.get("p"), int):
+        if not _is_int(fdoc.get("p")):
             raise InputError(f"{source}: field.p must be an integer")
         spec = FieldSpec.prime(fdoc["p"])
     elif kind == "cyclotomic":
-        if not isinstance(fdoc.get("m"), int):
+        if not _is_int(fdoc.get("m")):
             raise InputError(f"{source}: field.m must be an integer")
         spec = FieldSpec.cyclotomic(fdoc["m"])
     else:
@@ -298,14 +303,17 @@ def parse_fundamental_data(doc: dict, source: str = "<input>") -> FundamentalDat
         mats.append(Matrix.from_rows(spec, rows))
 
     def parse_braid_list(key, strands):
+        items = doc.get(key, [])
+        if not isinstance(items, list):
+            raise InputError(f"{source}: key {key!r} must be an array")
         out = []
-        for bi, item in enumerate(doc.get(key, [])):
+        for bi, item in enumerate(items):
             if isinstance(item, str):
                 try:
                     out.append(parse_braid(item, strands))
                 except InputError as exc:
                     raise InputError(f"{source}: {key}[{bi}]: {exc}") from None
-            elif isinstance(item, list) and all(isinstance(x, int) for x in item):
+            elif isinstance(item, list) and all(_is_int(x) for x in item):
                 try:
                     expr, _ = word_from_letters(item, strands)
                 except InputError as exc:
@@ -320,7 +328,7 @@ def parse_fundamental_data(doc: dict, source: str = "<input>") -> FundamentalDat
     if "braids" not in doc:
         raise InputError(f"{source}: missing key 'braids'")
     omegas = parse_braid_list("braids", r)
-    relations = parse_braid_list("relations", len(omegas)) if doc.get("relations") else ()
+    relations = parse_braid_list("relations", len(omegas))
     return FundamentalData(spec=spec, n=n, r=r, g=tuple(mats), omegas=omegas, relations=relations)
 
 
@@ -332,6 +340,10 @@ def load_fundamental_data(path) -> FundamentalData:
         raise InputError(f"input file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise InputError(f"cannot read input file {path}: {exc.strerror}") from None
     return parse_fundamental_data(doc, source=str(path))
 
 

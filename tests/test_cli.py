@@ -173,3 +173,55 @@ def test_group_modular_cap_exceeded_reported():
     assert group["mode"] == "modular" and group["status"] == "cap_exceeded"
     assert group["cap"] == 2 and group["order"] is None
     assert "decomposition" in group
+
+
+def _exit_and_stderr(capsys, args):
+    code = main(args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"braids": 5}, "key 'braids' must be an array"),
+        ({"braids": "b1 b2"}, "key 'braids' must be an array"),
+        ({"braids": [[True, 2]]}, "braids[0] must be a braid string or an integer array"),
+        ({"relations": 7}, "key 'relations' must be an array"),
+        ({"n": True}, "key 'n' has the wrong type"),
+        ({"r": True}, "key 'r' has the wrong type"),
+        ({"field": {"kind": "cyclotomic", "m": True}}, "field.m must be an integer"),
+        ({"field": {"kind": "prime", "p": True}}, "field.p must be an integer"),
+    ],
+    ids=["braids-int", "braids-string", "braid-letter-bool", "relations-int", "n-bool", "r-bool", "m-bool", "p-bool"],
+)
+def test_bad_input_types_exit_2(tmp_path, capsys, four_lines_doc, edit, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**four_lines_doc, **edit}))
+    code, out, err = _exit_and_stderr(capsys, ["compute", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"description": "caf\xe9"}')
+    missing = tmp_path / "missing.json"
+    for path in (tmp_path, undecodable, missing):
+        code, out, err = _exit_and_stderr(capsys, ["rank", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err == f"error: input file not found: {missing}\n"
+
+
+def test_output_in_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "out.json"
+    code, out, err = _exit_and_stderr(capsys, ["rank", "--input", "fixture:four_lines", "--output", str(target)])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(target) in err
+
+
+def test_rank_takes_no_verify_flag():
+    code, out, err = run_cli(["rank", "--input", "fixture:four_lines", "--verify"])
+    assert code == 2 and out == ""
+    assert "--verify" in err and "Traceback" not in err

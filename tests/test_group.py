@@ -71,7 +71,7 @@ def test_closure_contains_inverses():
     result = closure(mats, cap=100000)
     assert result.complete
     for m in mats:
-        assert m.inverse().canonical_key() in result.keys
+        assert m.inverse() in result.keys
 
 
 def test_contains_scalar():
@@ -79,6 +79,7 @@ def test_contains_scalar():
     result = closure([gen])
     assert contains_scalar(result, Q6.one())
     assert contains_scalar(result, Q6.gen() ** 2)
+    assert contains_scalar(result, Q6.gen() ** 6)  # one() built by another route
     minus = scalar_matrix(Q6, Q6.from_int(-1), 2)
     result2 = closure([minus])
     assert not contains_scalar(result2, Q6.gen())

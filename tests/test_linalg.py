@@ -343,6 +343,32 @@ if given is not None:
         want = stacked_intertwiner_space(tuple_a, tuple_b)
         assert got.basis == want.basis and got.pivots == want.pivots
 
+    @st.composite
+    def matrix_by_three_routes(draw):
+        """One matrix over GF(7), Q or Q(zeta_6) built from Fraction lists, from
+        scaled numerators over a scaled denominator, and from sums of monomials."""
+        spec = draw(st.sampled_from(INTERTWINER_SPECS))
+        rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        coeff = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+        cell = st.lists(coeff, min_size=spec.degree, max_size=spec.degree)
+        grid = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        scale = draw(st.sampled_from([2, 3, 5, 6, 10, 12]))  # a unit in GF(7)
+        z = spec.gen() if spec.kind == "cyclotomic" else spec.one()
+        routes = [
+            spec.element,
+            lambda v: spec.element([c * scale for c in v]) * spec.from_fraction(Fraction(1, scale)),
+            lambda v: sum((spec.from_fraction(c) * z**e for e, c in enumerate(v)), spec.zero()),
+        ]
+        return [Matrix.from_rows(spec, [[route(v) for v in row] for row in grid], cols=cols) for route in routes]
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix_by_three_routes())
+    def test_equal_matrices_hash_alike(mats):
+        first = mats[0]
+        for other in mats[1:]:
+            assert other == first and hash(other) == hash(first)
+        assert len(set(mats)) == 1
+
 
 def test_intertwiner_space_dimension_extremes():
     gf = FieldSpec.prime(7)
