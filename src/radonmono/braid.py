@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import ParseError, ShapeMismatch, StrandOutOfRange
-from .field import FieldElement
+from .field import FieldElement, _Scanner
 from .linalg import Matrix, row_times_matrix
 
 __all__ = [
@@ -180,36 +180,13 @@ def act_on_rows(
 # Exp    := signed INT | Atom | '(' Word ')'
 
 
-class _BraidScanner:
+class _BraidScanner(_Scanner):
+    """The element scanner with the braid grammar; no whitespace inside a
+    generator or between an exponent's sign and its digits."""
+
     def __init__(self, text: str, strands: int):
-        self.text = text
-        self.pos = 0
+        super().__init__(text)
         self.strands = strands
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def integer(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
-
-    def signed_integer(self) -> int:
-        self.skip_ws()
-        sign = 1
-        if self.peek() in ("+", "-"):
-            if self.text[self.pos] == "-":
-                sign = -1
-            self.pos += 1
-        return sign * self.integer()
 
     def generator(self) -> Generator:
         pos = self.pos
@@ -228,9 +205,7 @@ class _BraidScanner:
         if ch == "(":
             self.pos += 1
             word = self.word()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
+            self.expect(")")
             return word
         raise ParseError(f"expected a braid atom, got {ch!r}", self.pos)
 
@@ -258,10 +233,10 @@ class _BraidScanner:
 def parse_braid(text: str, strands: int) -> BraidExpr:
     """Parse braid notation like "b1^2", "(b2^2)^b1" or "b3^-1 (b1 b2 b1)^2 b3"."""
     sc = _BraidScanner(text, strands)
-    if sc.peek() is None:
+    if sc.at_end():
         raise ParseError("empty braid expression", 0)
     expr = sc.word()
-    if sc.peek() is not None:
+    if not sc.at_end():
         raise ParseError(f"unexpected character {sc.peek()!r}", sc.pos)
     return expr
 

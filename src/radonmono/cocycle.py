@@ -32,7 +32,7 @@ from .braid import BraidWord, act_on_rows
 from .braid import act_on_tuple  # noqa: F401  (perfbench's tracer looks the action up here)
 from .errors import ProductNotIdentity, ShapeMismatch
 from .field import FieldElement
-from .linalg import Matrix, Subspace, _Echelon, _reduce, hstack, image, kernel, product_of, row_times_matrix
+from .linalg import Matrix, Subspace, _Echelon, _reduce, hstack, image, kernel, product_of, row_times_matrix, square_tuple_shape
 from .linalg import intersect  # noqa: F401  (perfbench's tracer looks the intersection up here)
 
 __all__ = [
@@ -91,19 +91,6 @@ class TupleSpaces:
         return [x[self.dim_h - 1 - j] for j in self.middle]
 
 
-def _check_shapes(g: Sequence[Matrix]) -> tuple[int, int]:
-    if not g:
-        raise ShapeMismatch("empty monodromy tuple")
-    n = g[0].rows
-    spec = g[0].spec
-    for m in g:
-        if m.spec != spec:
-            raise ShapeMismatch("tuple entries over different fields")
-        if not m.is_square() or m.rows != n:
-            raise ShapeMismatch("tuple entries must be square of equal size")
-    return n, len(g)
-
-
 def _check_product(product: Matrix) -> None:
     if not product.is_identity():
         raise ProductNotIdentity("ordered product of the tuple is not the identity")
@@ -143,13 +130,13 @@ def _coboundaries(g: Sequence[Matrix]) -> Subspace:
 
 def compute_H(g: Sequence[Matrix]) -> Subspace:
     """The cocycle space H of the tuple, canonical in V^r."""
-    _check_shapes(g)
+    square_tuple_shape(g)
     return kernel(_conditions(g))
 
 
 def compute_E(g: Sequence[Matrix]) -> Subspace:
     """The coboundary space E: the row space of [g_1 - 1 | ... | g_r - 1]."""
-    _check_shapes(g)
+    square_tuple_shape(g)
     _check_product(product_of(g))
     return _coboundaries(g)
 
@@ -183,7 +170,7 @@ def extend_basis(
 
 def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
     """Cocycle data of g together with the deterministic flag basis."""
-    n, r = _check_shapes(g)
+    _, n = square_tuple_shape(g)
     conditions = _conditions(g)
     e, h = _coboundaries(g), kernel(conditions)
     if not (e.basis * conditions).is_zero():
@@ -196,7 +183,7 @@ def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
     return TupleSpaces(
         g=tuple(g),
         n=n,
-        r=r,
+        r=len(g),
         H=h,
         E=e,
         dim_e=e.dim,

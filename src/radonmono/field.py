@@ -477,6 +477,9 @@ def format_element(a: FieldElement) -> str:
 
 
 class _Scanner:
+    """A cursor over element or braid text: `peek`, `take` and `expect` skip
+    whitespace first, while `integer` reads digits at the cursor only."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -503,7 +506,6 @@ class _Scanner:
         self.pos += 1
 
     def integer(self) -> int:
-        self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
@@ -512,11 +514,10 @@ class _Scanner:
         return int(self.text[start : self.pos])
 
     def signed_integer(self) -> int:
-        self.skip_ws()
-        sign = 1
+        """An optional sign, then digits right after it."""
+        sign = -1 if self.peek() == "-" else 1
         if self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -1
+            self.pos += 1
         return sign * self.integer()
 
     def at_end(self) -> bool:
@@ -567,6 +568,7 @@ def _parse_primary(sc: _Scanner, spec: FieldSpec) -> FieldElement:
         num = sc.integer()
         if sc.peek() == "/":
             sc.take()
+            sc.skip_ws()
             den = sc.integer()
             if den == 0:
                 raise NotInField(f"zero denominator at position {start}")
@@ -582,6 +584,7 @@ def _parse_primary(sc: _Scanner, spec: FieldSpec) -> FieldElement:
         power = 1
         if sc.peek() == "^":
             sc.take()
+            sc.skip_ws()
             power = sc.integer()
         return spec.gen() ** power
     if ch == "(":
@@ -590,6 +593,10 @@ def _parse_primary(sc: _Scanner, spec: FieldSpec) -> FieldElement:
         sc.expect(")")
         if sc.peek() == "^":
             sc.take()
-            value = value ** sc.signed_integer()
+            sign = -1 if sc.peek() == "-" else 1
+            if sc.peek() in ("+", "-"):
+                sc.take()
+            sc.skip_ws()  # unlike a braid exponent, whitespace may follow the sign
+            value = value ** (sign * sc.integer())
         return value
     raise ParseError(f"unexpected character {ch!r}", sc.pos)

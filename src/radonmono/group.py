@@ -29,10 +29,8 @@ from typing import TYPE_CHECKING, AbstractSet, Sequence
 from .errors import (
     BadPrime,
     CapExceeded,
-    FieldMismatch,
     NonInvertibleGenerator,
     OrderDisagreement,
-    ShapeMismatch,
     Singular,
     ZeroSeed,
 )
@@ -47,6 +45,7 @@ from .linalg import (
     kernel,
     product_of,
     row_times_matrix,
+    square_tuple_shape,
     subspace_sum,
     vstack,
 )
@@ -89,16 +88,10 @@ class MatrixGroupGen:
     @classmethod
     def from_matrices(cls, gens: Sequence[Matrix]) -> "MatrixGroupGen":
         """Validated generators; a repeated generator keeps its first occurrence only."""
-        if not gens:
-            raise ShapeMismatch("no generators")
+        spec, d = square_tuple_shape(gens)
         gens = tuple(dict.fromkeys(gens))
-        spec, d = gens[0].spec, gens[0].rows
         inverses = []
         for g in gens:
-            if g.spec != spec:
-                raise FieldMismatch("generators over different fields")
-            if not g.is_square() or g.rows != d:
-                raise ShapeMismatch("generators must be square of equal size")
             try:
                 inverses.append(g.inverse())
             except Singular:
@@ -180,11 +173,12 @@ class _Enumeration:
             for gen in step:
                 for el in frontier:
                     prod = el * gen
-                    if prod in self.elements:
+                    size = len(self.elements)
+                    self.elements.add(prod)  # hashes prod once; a member leaves the size
+                    if len(self.elements) == size:
                         continue
-                    if len(self.elements) >= self.cap:
+                    if size >= self.cap:
                         raise CapExceeded(f"group enumeration exceeded the cap of {self.cap}")
-                    self.elements.add(prod)
                     found.append(prod)
             if not found:
                 return

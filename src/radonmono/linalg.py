@@ -37,6 +37,7 @@ __all__ = [
     "vstack",
     "row_times_matrix",
     "product_of",
+    "square_tuple_shape",
 ]
 
 
@@ -304,6 +305,19 @@ def row_times_matrix(row: Sequence[FieldElement], mat: Matrix) -> tuple[FieldEle
     return tuple(acc)
 
 
+def square_tuple_shape(mats: Sequence[Matrix]) -> tuple[FieldSpec, int]:
+    """The field and the size of a nonempty tuple of d x d matrices over one field."""
+    if not mats:
+        raise ShapeMismatch("empty tuple")
+    spec, d = mats[0].spec, mats[0].rows
+    for m in mats:
+        if m.spec != spec:
+            raise FieldMismatch("tuple entries over different fields")
+        if not m.is_square() or m.rows != d:
+            raise ShapeMismatch("tuple entries must be square of equal size")
+    return spec, d
+
+
 def product_of(mats: Sequence[Matrix]) -> Matrix:
     if not mats:
         raise ShapeMismatch("product of an empty sequence")
@@ -441,13 +455,7 @@ def intertwiner_space(tuple_a: Sequence[Matrix], tuple_b: Sequence[Matrix]) -> S
     """
     if len(tuple_a) != len(tuple_b):
         raise ShapeMismatch("tuples of different length")
-    if not tuple_a:
-        raise ShapeMismatch("empty tuples")
-    d = tuple_a[0].rows
-    spec = tuple_a[0].spec
-    for m in list(tuple_a) + list(tuple_b):
-        if not m.is_square() or m.rows != d:
-            raise ShapeMismatch("tuple entries must be square of equal size")
+    spec, d = square_tuple_shape([*tuple_a, *tuple_b])
     n = d * d
     space = Subspace(spec, n, Matrix.identity(spec, n), tuple(range(n)))
     for a, b in zip(tuple_a, tuple_b):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from radonmono.cli import fixture_path, main
+from radonmono.field import FieldSpec
 
 
 def run_cli(args):
@@ -201,6 +202,19 @@ def test_bad_input_types_exit_2(tmp_path, capsys, four_lines_doc, edit, message)
     code, out, err = _exit_and_stderr(capsys, ["compute", "--input", str(path)])
     assert code == 2 and out == ""
     assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("m", [3001, 10**9])
+def test_conductor_bound_exits_2(tmp_path, capsys, monkeypatch, four_lines_doc, m):
+    def no_field(m):
+        raise AssertionError(f"Q(zeta_{m}) was built")
+
+    monkeypatch.setattr(FieldSpec, "cyclotomic", staticmethod(no_field))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**four_lines_doc, "field": {"kind": "cyclotomic", "m": m}}))
+    for command in ("compute", "rank", "check", "group"):
+        code, out, err = _exit_and_stderr(capsys, [command, "--input", str(path)])
+        assert (code, out, err) == (2, "", f"error: {path}: field.m must be at most 3000, got {m}\n")
 
 
 def test_unreadable_input_exits_2(tmp_path, capsys):

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from radonmono.cocycle import compute_E, compute_H, trafodat
 from radonmono.errors import (
     AmbientMismatch,
+    FieldMismatch,
     ShapeMismatch,
     Singular,
 )
 from radonmono.field import FieldSpec
+from radonmono.group import MatrixGroupGen
 from radonmono.linalg import (
     Matrix,
     Subspace,
@@ -20,8 +23,10 @@ from radonmono.linalg import (
     kernel,
     matrix_from_flat,
     rref,
+    square_tuple_shape,
     subspace_sum,
 )
+from radonmono.radon import check_relations
 
 Q = FieldSpec.rational()
 
@@ -217,6 +222,29 @@ def test_shape_errors():
         mat([[1, 2]]) * mat([[1, 2]])
     with pytest.raises(ShapeMismatch):
         hstack([mat([[1]]), mat([[1], [2]])])
+
+
+def test_square_tuple_shape_serves_every_caller():
+    a, one = mat([[0, 1], [1, 0]]), mat([[1]])
+    assert square_tuple_shape([a, a]) == (Q, 2)
+    mixed = (a, mat([[0, 1], [1, 0]], FieldSpec.prime(7)))
+    callers = [
+        square_tuple_shape,
+        compute_E,
+        compute_H,
+        trafodat,
+        MatrixGroupGen.from_matrices,
+        lambda g: intertwiner_space(g, g),
+        lambda g: check_relations(g, []),
+    ]
+    for fn in callers:
+        for bad in ((), (a, one), (mat([[1, 2]]),)):
+            with pytest.raises(ShapeMismatch):
+                fn(bad)
+        with pytest.raises(FieldMismatch):
+            fn(mixed)
+    with pytest.raises(ShapeMismatch):
+        intertwiner_space([a], [a, a])
 
 
 # -- products normalised once per entry, and the pair-by-pair intertwiner space -----

@@ -267,3 +267,19 @@ def test_zariski_transcription_normalized():
     print("normalized braid words, C':")
     for line in [braid_text(w) for w in fdp.omegas]:
         print(" ", line)
+
+
+@pytest.mark.parametrize("m", [3001, 10**9])
+def test_conductor_bound_refused_before_any_table(monkeypatch, four_lines_doc, m):
+    def no_field(m):
+        raise AssertionError(f"Q(zeta_{m}) was built")
+
+    monkeypatch.setattr(FieldSpec, "cyclotomic", staticmethod(no_field))
+    with pytest.raises(InputError) as err:
+        parse_fundamental_data({**four_lines_doc, "field": {"kind": "cyclotomic", "m": m}})
+    assert str(err.value) == f"<input>: field.m must be at most 3000, got {m}"
+
+
+def test_conductor_bound_admits_3000(four_lines_doc):
+    fd = parse_fundamental_data({**four_lines_doc, "field": {"kind": "cyclotomic", "m": 3000}})
+    assert fd.spec == FieldSpec.cyclotomic(3000) and fd.g[0].entries[0][0] == -1
