@@ -20,7 +20,6 @@ from .cocycle import TupleSpaces, compute_E, compute_H, local_matrix, phibar, tr
 from .errors import RadonError
 from .field import FieldElement, FieldSpec, format_element, parse_element
 from .group import (
-    ClosureResult,
     MatrixGroupGen,
     closure,
     contains_scalar,
@@ -28,7 +27,6 @@ from .group import (
     fixed_subspace,
     invariant_decomposition,
     modular_group_analysis,
-    modular_order,
     moving_subspace,
     spin,
 )

@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import ParseError, ShapeMismatch, StrandOutOfRange
+from .errors import InputError, ParseError, ShapeMismatch, StrandOutOfRange
 from .field import FieldElement, _Scanner
 from .linalg import Matrix, row_times_matrix
 
 __all__ = [
+    "MAX_LETTERS",
     "BraidWord",
     "Generator",
     "Product",
@@ -84,14 +85,36 @@ class Conjugate:
 
 BraidExpr = Union[Generator, Product, Power, Conjugate]
 
+# The longest word `expand` writes out; the bundled and test inputs stay far below it.
+MAX_LETTERS = 100_000
+
 
 def inverse_letters(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(-x for x in reversed(letters))
 
 
 def expand(expr: BraidExpr, strands: int) -> BraidWord:
-    """Flatten an expression tree into a word of B_strands."""
+    """Flatten an expression tree into a word of B_strands.
+
+    A word longer than MAX_LETTERS is refused from the tree's size, before
+    any letter is written.
+    """
+    length = _expanded_length(expr)
+    if length > MAX_LETTERS:
+        raise InputError(f"braid word expands to {length} letters, more than the {MAX_LETTERS} allowed")
     return BraidWord(strands, _expand_letters(expr))
+
+
+def _expanded_length(expr: BraidExpr) -> int:
+    if isinstance(expr, Generator):
+        return 1
+    if isinstance(expr, Product):
+        return sum(_expanded_length(f) for f in expr.factors)
+    if isinstance(expr, Power):
+        return _expanded_length(expr.base) * abs(expr.exponent)
+    if isinstance(expr, Conjugate):
+        return 2 * _expanded_length(expr.by) + _expanded_length(expr.base)
+    raise TypeError(f"not a braid expression: {expr!r}")
 
 
 def _expand_letters(expr: BraidExpr) -> tuple[int, ...]:

@@ -158,22 +158,19 @@ def cmd_group(args) -> int:
     group_doc: dict = {"cap": args.cap}
     if result.dim_w == 0 or not group:
         group_doc.update({"mode": "none", "order": 1 if result.dim_w == 0 else None})
-    elif args.exact:
-        enum = closure(group, cap=args.cap)
-        group_doc.update({"mode": "exact", "status": enum.status, "order": enum.order})
-        if enum.complete:
-            series = derived_series(enum)
-            group_doc["derived_series"] = series
-            group_doc["solvable"] = series[-1] == 1
     else:
-        primes = args.primes or default_modular_primes(group)
+        group_doc.update({"mode": "exact" if args.exact else "modular", "status": "complete"})
         try:
-            analysis = modular_group_analysis(group, primes, cap=args.cap)
+            if args.exact:
+                enum = closure(group, cap=args.cap)
+                series = derived_series(enum)
+                analysis = {"order": enum.order, "derived_series": series, "solvable": series[-1] == 1}
+            else:
+                primes = args.primes or default_modular_primes(group)
+                analysis = modular_group_analysis(group, primes, cap=args.cap)
         except CapExceeded:
-            group_doc.update({"mode": "modular", "status": "cap_exceeded", "order": None})
-        else:
-            group_doc.update({"mode": "modular", "status": "complete"})
-            group_doc.update(analysis)
+            analysis = {"status": "cap_exceeded", "order": None}
+        group_doc.update(analysis)  # a status already set keeps its place among the keys
     if group:
         group_doc["decomposition"] = invariant_decomposition(group)
     doc["group"] = group_doc

@@ -391,6 +391,8 @@ class FieldElement:
         s = self.spec
         if s.kind == "prime":
             return FieldElement(s, (pow(self.coeffs[0], -1, s.p),))
+        if not any(self.coeffs[1:]):  # a rational c_0/den: no conjugate products
+            return _reduced(s, [self.den] + [0] * (len(self.coeffs) - 1), self.coeffs[0])
         # With a = A/den, the product P of the other conjugates A(z^k),
         # gcd(k, m) = 1, makes A*P the rational norm N, so 1/a = den*P/N.
         powers = s._powers

@@ -3,14 +3,16 @@
 Two engines compute group orders.  The exact path (`closure`, the `--exact`
 command) enumerates every element breadth-first with `Matrix` arithmetic
 over any FieldSpec and holds each once, in a set of exact matrices hashed by
-their entries: `_Enumeration`.  The modular path keeps no element list:
-`chain.StabilizerChain` is a stabilizer chain of the group mod p, built by
-deterministic Schreier-Sims with numpy.  Both offer `add(word)`: it extends
-the group by the product of a word of (x, x^-1) pairs, a member changing
-nothing, and forms the inverse from the word only for a new element.  So
-one derived series grows each derived subgroup in place, and no engine
-inverts a matrix: the generators come with the inverses `MatrixGroupGen`
-computed.  Both raise CapExceeded exactly when the order exceeds the cap.
+their entries: `closure` returns that `_Enumeration` itself, which
+`derived_series` continues and `contains_scalar` reads.  The modular path
+keeps no element list: `chain.StabilizerChain` is a stabilizer chain of the
+group mod p, built by deterministic Schreier-Sims with numpy.  Both offer
+`add(word)`: it extends the group by the product of a word of (x, x^-1)
+pairs, a member changing nothing, and forms the inverse from the word only
+for a new element.  So one derived series grows each derived subgroup in
+place, and no engine inverts a matrix: the generators come with the inverses
+`MatrixGroupGen` computed.  Both raise CapExceeded exactly when the order
+exceeds the cap; that exception is the only way either reports the cap.
 
 For cyclotomic or rational generators the modular path maps the root of unity
 to an element of the same order in GF(p) for an odd prime p = 1 mod m,
@@ -23,8 +25,8 @@ finite group is exact.  Over GF(p) the only prime is p; the chain is exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, AbstractSet, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     BadPrime,
@@ -57,7 +59,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MatrixGroupGen",
-    "ClosureResult",
     "closure",
     "derived_series",
     "spin",
@@ -67,7 +68,6 @@ __all__ = [
     "contains_scalar",
     "root_of_unity_modp",
     "reduce_matrix_modp",
-    "modular_order",
     "modular_group_analysis",
     "invariant_decomposition",
     "DEFAULT_CAP",
@@ -97,24 +97,6 @@ class MatrixGroupGen:
             except Singular:
                 raise NonInvertibleGenerator("generator is singular") from None
         return cls(spec, d, gens, tuple(inverses))
-
-
-@dataclass
-class ClosureResult:
-    """Outcome of a breadth-first closure enumeration."""
-
-    status: str  # "complete" or "cap_exceeded"
-    order: int | None
-    enumeration: _Enumeration | None = field(default=None, repr=False)  # reused by derived_series
-
-    @property
-    def complete(self) -> bool:
-        return self.status == "complete"
-
-    @property
-    def keys(self) -> AbstractSet[Matrix] | None:
-        """The elements, shared with the enumeration: read only."""
-        return None if self.enumeration is None else self.enumeration.elements
 
 
 def _as_generators(gens) -> MatrixGroupGen:
@@ -210,24 +192,17 @@ def _derived_series(group: _Enumeration | StabilizerChain) -> list[int]:
     return orders
 
 
-def closure(gens, cap: int = DEFAULT_CAP) -> ClosureResult:
-    """Exact BFS closure of the generated group, up to `cap` elements."""
+def closure(gens, cap: int = DEFAULT_CAP) -> _Enumeration:
+    """Every element of the generated group, enumerated exactly; more than `cap` raise CapExceeded."""
     group = _as_generators(gens)
     if cap < 1:
         raise CapExceeded("cap must be >= 1")
-    try:
-        enum = _Enumeration(group.spec, group.degree, cap, zip(group.generators, group.inverses))
-    except CapExceeded:
-        return ClosureResult(status="cap_exceeded", order=None)
-    return ClosureResult("complete", enum.order, enum)
+    return _Enumeration(group.spec, group.degree, cap, zip(group.generators, group.inverses))
 
 
-def contains_scalar(result: ClosureResult, lam: FieldElement) -> bool:
-    """True when lambda * identity occurs in a completed closure."""
-    if not result.complete:
-        raise CapExceeded("closure did not complete")
-    scalar = Matrix.diagonal(lam.spec, [lam] * result.enumeration.degree)
-    return scalar in result.keys
+def contains_scalar(group: _Enumeration, lam: FieldElement) -> bool:
+    """True when lambda * identity is an element of a `closure` result."""
+    return Matrix.diagonal(lam.spec, [lam] * group.degree) in group.elements
 
 
 def derived_series(gens, cap: int = DEFAULT_CAP) -> list[int]:
@@ -237,10 +212,7 @@ def derived_series(gens, cap: int = DEFAULT_CAP) -> list[int]:
     continued instead of repeated.  The list stops at order 1 (solvable) or
     when the order stabilizes (perfect derived subgroup).
     """
-    first = gens if isinstance(gens, ClosureResult) else closure(gens, cap=cap)
-    if not first.complete:
-        raise CapExceeded("closure exceeded the cap")
-    return _derived_series(first.enumeration)
+    return _derived_series(gens if isinstance(gens, _Enumeration) else closure(gens, cap=cap))
 
 
 # -- invariant subspaces ----------------------------------------------------------
@@ -419,12 +391,6 @@ def _modp_entry(group: MatrixGroupGen, p: int, cap: int, with_derived: bool) -> 
     return entry
 
 
-def modular_order(gens, primes: Sequence[int], cap: int = DEFAULT_CAP) -> int:
-    """Exact group order via reduction mod each prime; primes must agree."""
-    analysis = modular_group_analysis(gens, primes, cap=cap, with_derived=False)
-    return analysis["order"]
-
-
 def modular_group_analysis(
     gens,
     primes: Sequence[int],
@@ -468,8 +434,8 @@ def modular_group_analysis(
     return result
 
 
-def default_modular_primes(gens, count: int = 2) -> list[int]:
-    """[p] over GF(p); otherwise the smallest odd primes p = 1 mod m (m = 1 over Q)
+def default_modular_primes(gens) -> list[int]:
+    """[p] over GF(p); otherwise the two smallest odd primes p = 1 mod m (m = 1 over Q)
     that divide no denominator of a generator or of its inverse."""
     group = _as_generators(gens)
     spec = group.spec
@@ -479,7 +445,7 @@ def default_modular_primes(gens, count: int = 2) -> list[int]:
     dens = {e.den for g in group.generators + group.inverses for row in g.entries for e in row}
     out: list[int] = []
     p = 3
-    while len(out) < count:
+    while len(out) < 2:
         if is_prime(p) and (p - 1) % m == 0 and all(den % p for den in dens):
             out.append(p)
         p += 2

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from radonmono import braid
 from radonmono.braid import (
+    MAX_LETTERS,
     BraidWord,
     Conjugate,
     Generator,
@@ -14,7 +16,7 @@ from radonmono.braid import (
     free_reduce,
     parse_braid,
 )
-from radonmono.errors import ParseError, ShapeMismatch, StrandOutOfRange
+from radonmono.errors import InputError, ParseError, ShapeMismatch, StrandOutOfRange
 from radonmono.field import FieldSpec
 from radonmono.linalg import Matrix, product_of
 
@@ -58,6 +60,29 @@ def test_expand_examples():
     assert expand(parse_braid("b1^-2", 4), 4).letters == (-1, -1)
     word = expand(parse_braid("b1 b2 b2^-1 b1^-1", 4), 4)
     assert free_reduce(word).letters == ()
+
+
+def test_expand_bounds_the_word_length(monkeypatch):
+    assert MAX_LETTERS == 100_000
+    assert expand(parse_braid("(b1 b2^-1)^50000", 3), 3).letters == (1, -2) * 50_000
+    assert len(expand(parse_braid("b1^99999 b2", 3), 3)) == MAX_LETTERS
+
+    def no_letters(expr):
+        raise AssertionError("letters were written")
+
+    # refused from the parsed tree's size: no letter is written, however long the word
+    monkeypatch.setattr(braid, "_expand_letters", no_letters)
+    for text, length in [
+        ("b1^100001", 100_001),
+        ("b1^99999 b2 b1", 100_001),
+        ("(b1^2)^-50001", 100_002),
+        ("((b1^2)^b2)^(b2^50000)", 100_004),
+        ("(b1^2)^100000", 200_000),
+        ("b1^1000000000000000000000", 10**21),
+    ]:
+        with pytest.raises(InputError) as err:
+            expand(parse_braid(text, 3), 3)
+        assert str(err.value) == f"braid word expands to {length} letters, more than the 100000 allowed"
 
 
 def test_free_reduce_examples():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -239,3 +240,43 @@ def test_rank_takes_no_verify_flag():
     code, out, err = run_cli(["rank", "--input", "fixture:four_lines", "--verify"])
     assert code == 2 and out == ""
     assert "--verify" in err and "Traceback" not in err
+
+
+def test_compute_over_a_large_conductor_matches_q(tmp_path, capsys, four_lines_doc):
+    # four_lines has rational entries only, so over Q(zeta_2999) every inverse is rational
+    path = tmp_path / "z2999.json"
+    path.write_text(json.dumps({**four_lines_doc, "field": {"kind": "cyclotomic", "m": 2999}}))
+    started = time.perf_counter()
+    over_z2999 = _exit_and_stderr(capsys, ["compute", "--input", str(path)])
+    assert time.perf_counter() - started < 5.0
+    over_q = _exit_and_stderr(capsys, ["compute", "--input", fixture_path("four_lines")])
+    assert over_z2999 == over_q and over_q[0] == 0
+
+def test_long_braid_word_exits_2(tmp_path, capsys, four_lines_doc):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({**four_lines_doc, "braids": ["(b1^2)^100000", *four_lines_doc["braids"][1:]]}))
+    for command in ("compute", "check", "group"):
+        started = time.perf_counter()
+        code, out, err = _exit_and_stderr(capsys, [command, "--input", str(path)])
+        assert time.perf_counter() - started < 1.0
+        assert (code, out, err) == (2, "", "error: braid word expands to 200000 letters, more than the 100000 allowed\n")
+
+
+@pytest.mark.parametrize("mode", [["--exact"], []], ids=["exact", "modular"])
+def test_group_cap_boundary_in_both_modes(capsys, mode):
+    # zariski_c's group has order 648: a cap of 648 completes, one of 647 does not
+    def group_doc(cap):
+        code, out, err = _exit_and_stderr(capsys, ["group", "--input", "fixture:zariski_c", "--cap", cap, *mode])
+        assert (code, err) == (0, "")
+        return json.loads(out)["group"]
+
+    complete, exceeded = group_doc("648"), group_doc("647")
+    mode_name = "exact" if mode else "modular"
+    assert complete["mode"] == exceeded["mode"] == mode_name
+    assert complete["status"] == "complete" and complete["order"] == 648
+    assert complete["derived_series"] == [648, 216, 54, 27, 3, 1] and complete["solvable"] is True
+    assert exceeded["status"] == "cap_exceeded" and exceeded["order"] is None
+    assert list(exceeded) == ["cap", "mode", "status", "order", "decomposition"]
+    assert exceeded["decomposition"] == complete["decomposition"]
+    modular_keys = ["primes", "order", "scalar_exponents"] if not mode else ["order"]
+    assert list(complete) == ["cap", "mode", "status", *modular_keys, "derived_series", "solvable", "decomposition"]

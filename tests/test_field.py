@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from radonmono import field
 from radonmono.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -141,6 +142,26 @@ def test_field_axioms_on_samples(spec):
         if not a.is_zero():
             assert (a * a.inverse()).is_one()
             assert ((a ** 3) * (a ** -3)).is_one()
+
+
+def test_inverse_of_a_rational_element_makes_no_conjugate_products(monkeypatch):
+    # in Q(zeta_2999) the norm route would take phi(2999) - 1 = 2997 products
+    spec = FieldSpec.cyclotomic(2999)
+    two, neg = spec.from_int(2), spec.from_fraction(Fraction(-3, 7))
+    spec._powers  # the table, built before counting
+    calls = []
+    times = field._times
+
+    def counting_times(*args):
+        calls.append(args)
+        return times(*args)
+
+    monkeypatch.setattr(field, "_times", counting_times)
+    assert two.inverse() == spec.from_fraction(Fraction(1, 2))
+    assert neg.inverse() == spec.from_fraction(Fraction(-7, 3))
+    assert calls == []
+    monkeypatch.undo()
+    assert (two * two.inverse()).is_one() and (neg * neg.inverse()).is_one()
 
 
 @pytest.mark.parametrize(

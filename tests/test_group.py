@@ -23,7 +23,6 @@ from radonmono.group import (
     fixed_subspace,
     invariant_decomposition,
     modular_group_analysis,
-    modular_order,
     moving_subspace,
     reduce_matrix_modp,
     restricted_tuple,
@@ -43,14 +42,13 @@ def scalar_matrix(spec, value, d):
 
 def test_closure_cyclic_scalar_group():
     gen = scalar_matrix(Q6, Q6.gen(), 4)
-    result = closure([gen])
-    assert result.complete and result.order == 6
+    assert closure([gen]).order == 6
 
 
 def test_closure_cap():
     gen = scalar_matrix(Q6, Q6.gen(), 4)
-    result = closure([gen], cap=3)
-    assert result.status == "cap_exceeded" and result.order is None
+    with pytest.raises(CapExceeded):
+        closure([gen], cap=3)
 
 
 def test_closure_rejects_singular_generator():
@@ -69,9 +67,8 @@ def test_closure_contains_inverses():
         except Exception:
             continue
     result = closure(mats, cap=100000)
-    assert result.complete
     for m in mats:
-        assert m.inverse() in result.keys
+        assert m.inverse() in result.elements
 
 
 def test_contains_scalar():
@@ -84,7 +81,7 @@ def test_contains_scalar():
     result2 = closure([minus])
     assert not contains_scalar(result2, Q6.gen())
     with pytest.raises(CapExceeded):
-        contains_scalar(closure([gen], cap=2), Q6.one())
+        closure([gen], cap=2)
 
 
 def test_derived_series_abelian():
@@ -157,20 +154,20 @@ def test_reduce_matrix_modp():
 
 def test_modular_order_scalar_group():
     gen = scalar_matrix(Q6, Q6.gen(), 2)
-    assert modular_order([gen], [7, 13]) == 6
+    assert modular_group_analysis([gen], [7, 13], with_derived=False)["order"] == 6
 
 
 def test_modular_order_matches_exact_closure():
     swap = Matrix.from_ints(Q6, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     cycle = Matrix.from_ints(Q6, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     exact = closure([swap, cycle]).order
-    assert modular_order([swap, cycle], [7, 13]) == exact == 6
+    assert modular_group_analysis([swap, cycle], [7, 13], with_derived=False)["order"] == exact == 6
 
 
 def test_modular_order_bad_prime_denominator():
     m = Matrix.from_rows(Q6, [[Q6.from_fraction(__import__("fractions").Fraction(1, 7))]])
     with pytest.raises(BadPrime):
-        modular_order([m], [7, 13])
+        modular_group_analysis([m], [7, 13], with_derived=False)
 
 
 def test_modular_order_disagreement_on_infinite_group():
@@ -179,7 +176,7 @@ def test_modular_order_disagreement_on_infinite_group():
     q = FieldSpec.rational()
     shear = Matrix.from_ints(q, [[1, 1], [0, 1]])
     with pytest.raises(OrderDisagreement):
-        modular_order([shear], [3, 5])
+        modular_group_analysis([shear], [3, 5], with_derived=False)
 
 
 def test_derived_series_cap_exceeded():
@@ -282,7 +279,8 @@ def test_from_matrices_drops_repeated_generators(zariski_c_result):
 def test_engine_cap_boundary():
     gens = s4_generators()
     assert closure(gens, cap=24).order == 24
-    assert closure(gens, cap=23).status == "cap_exceeded"
+    with pytest.raises(CapExceeded):
+        closure(gens, cap=23)
     assert derived_series(gens, cap=24) == [24, 12, 4, 1]
     with pytest.raises(CapExceeded):
         derived_series(gens, cap=23)
@@ -298,7 +296,7 @@ def test_engine_cap_boundary():
 def test_modular_rejects_generator_singular_mod_p():
     three = Matrix.from_ints(Q, [[3]])
     with pytest.raises(NonInvertibleGenerator):
-        modular_order([three], [5, 3])
+        modular_group_analysis([three], [5, 3], with_derived=False)
 
 
 def test_modular_prime_rules():
@@ -377,9 +375,10 @@ def test_chain_matches_exact_enumeration(seed):
     p, _, rows = _random_integer_generators(seed)
     gf = FieldSpec.prime(p)
     cap = 3000
-    exact = closure([Matrix.from_ints(gf, r) for r in rows], cap=cap)
     gens = [Matrix.from_ints(Q, r) for r in rows]
-    if not exact.complete:
+    try:
+        exact = closure([Matrix.from_ints(gf, r) for r in rows], cap=cap)
+    except CapExceeded:
         with pytest.raises(CapExceeded):
             modular_group_analysis(gens, [p], cap=cap)
         return
@@ -422,10 +421,19 @@ def test_chain_cap_boundary_on_several_levels(zariski_cprime_result):
 
 
 def test_import_leaves_numpy_unloaded():
-    code = "import sys, radonmono, radonmono.cli; print('numpy' in sys.modules)"
+    # neither the import nor the exact CLI paths load numpy: only the chain does
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "import sys, radonmono, radonmono.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+    code = (
+        "import os, sys\nfrom radonmono.cli import main\n"
+        "assert main(sys.argv[1:] + ['--output', os.devnull]) == 0\nprint('numpy' in sys.modules)"
+    )
+    for argv in (["compute"], ["group", "--exact"]):
+        cmd = [sys.executable, "-c", code, *argv, "--input", "fixture:zariski_c"]
+        out = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False", argv
 
 
 # -- inverses travel with the generators --------------------------------------------
@@ -465,7 +473,7 @@ def test_stored_inverses_after_derived_series(monkeypatch):
     from radonmono.group import _derived_series, _Enumeration
 
     group = MatrixGroupGen.from_matrices(s4_generators())
-    enum = closure(group).enumeration
+    enum = closure(group)
     subgroups = _record_subgroups(monkeypatch, _Enumeration)
     assert _derived_series(enum) == [24, 12, 4, 1]
     for sub in [enum, *subgroups]:
