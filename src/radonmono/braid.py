@@ -6,9 +6,13 @@ generator and -i for its inverse.  The surface syntax (powers, conjugation
 exponents) parses to a small expression tree which expands to flat words.
 Conjugation is x^y = y^(-1) * x * y.
 
-`act_on_rows` is the one braid action: it advances the tuple and moves rows
-of V^r by each letter's block transvection; `act_on_tuple` moves no rows.
-A plain letter list becomes a `BraidWord`, the one letter-range check.
+`act_on_rows` is the one braid action.  Each letter advances the tuple and
+the inverses of its entries, which travel with it, by matrix products, and
+moves rows of V^r by one 2n x 2n block product on the two blocks the letter
+touches.  `act_on_tuple` moves no rows and forms no letter matrix.  A plain
+letter list becomes a `BraidWord`, the one letter-range check; `expand`
+and the input parser refuse, through `check_length`, a word longer than
+MAX_LETTERS.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence, Union
 
 from .errors import InputError, ParseError, ShapeMismatch, StrandOutOfRange
 from .field import FieldElement, _Scanner
-from .linalg import Matrix, row_times_matrix
+from .linalg import Matrix
 
 __all__ = [
     "MAX_LETTERS",
@@ -30,6 +34,7 @@ __all__ = [
     "BraidExpr",
     "parse_braid",
     "expand",
+    "check_length",
     "free_reduce",
     "inverse_letters",
     "act_on_tuple",
@@ -96,13 +101,19 @@ def inverse_letters(letters: Sequence[int]) -> tuple[int, ...]:
 def expand(expr: BraidExpr, strands: int) -> BraidWord:
     """Flatten an expression tree into a word of B_strands.
 
-    A word longer than MAX_LETTERS is refused from the tree's size, before
-    any letter is written.
+    A word longer than MAX_LETTERS is refused by `check_length`, before any
+    letter is written.
     """
+    check_length(expr)
+    return BraidWord(strands, _expand_letters(expr))
+
+
+def check_length(expr: BraidExpr) -> None:
+    """Refuse, with InputError, a word that expands to more than MAX_LETTERS
+    letters; the length is read off the tree's size."""
     length = _expanded_length(expr)
     if length > MAX_LETTERS:
         raise InputError(f"braid word expands to {length} letters, more than the {MAX_LETTERS} allowed")
-    return BraidWord(strands, _expand_letters(expr))
 
 
 def _expanded_length(expr: BraidExpr) -> int:
@@ -152,6 +163,7 @@ def act_on_tuple(g: Sequence[Matrix], word: BraidWord | Sequence[int]) -> tuple[
 
     Letter i sends (..., g_i, g_{i+1}, ...) to (..., g_{i+1},
     g_{i+1}^-1 g_i g_{i+1}, ...); letter -i applies the inverse move.
+    No letter matrix is formed.
     """
     return act_on_rows(g, word, [])
 
@@ -162,36 +174,53 @@ def act_on_rows(
     """Right-multiply each row of V^r, in place, by the deformation of each
     letter in turn while the tuple advances; return the advanced tuple.
 
-    With x and y the blocks i and i+1 of a row, g_i and g_{i+1} entries of
-    the current tuple, letter i sets x' = y and y' = x g_{i+1} + y - y g'
-    with g' = g_{i+1}^-1 g_i g_{i+1}; letter -i sets x' = (x g_{i+1} - x +
-    y) g_i^-1 and y' = x.  A plain letter list is checked as a word on
-    len(g) strands.
+    Letter i multiplies the blocks [x, y] = [v_i, v_{i+1}] of a row by the
+    2n x 2n letter matrix [[0, g_{i+1}], [1, 1 - g']], g' = g_{i+1}^-1 g_i
+    g_{i+1}, and letter -i by [[(g_{i+1} - 1) g_i^-1, 1], [g_i^-1, 0]].  One
+    half of each output is a copy of x or y; the other half takes one
+    `FieldSpec.dot` per entry against the letter matrix's columns, built once
+    per letter and only when rows are given.  A row that is zero on both
+    blocks is left as it is.
+
+    The inverses h = g^-1 travel with the tuple: each is formed when a letter
+    first needs it and then advanced by products, (g')^-1 = h_{i+1} h_i
+    g_{i+1} and (g_i g_{i+1} h_i)^-1 = g_i h_{i+1} h_i; an unknown h stays
+    unknown.  A plain letter list is checked as a word on len(g) strands.
     """
     if not isinstance(word, BraidWord):
         word = BraidWord(len(g) or 1, tuple(word))  # the empty tuple takes only the empty word
     elif word.strands != len(g):
         raise ShapeMismatch(f"word on {word.strands} strands acting on an {len(g)}-tuple")
-    n = g[0].rows if g else 0
-    gs = list(g)
+    if not g:
+        return ()
+    n, spec = g[0].rows, g[0].spec
+    ident, dot = Matrix.identity(spec, n), spec.dot
+    gs: list[Matrix] = list(g)
+    hs: list[Matrix | None] = [None] * len(gs)
     for letter in word.letters:
-        a = abs(letter)
-        top, mid, end = n * (a - 1), n * a, n * (a + 1)
-        gi, gi1 = gs[a - 1], gs[a]
+        j = abs(letter)
+        i = j - 1
+        gi, gj, hi, hj = gs[i], gs[j], hs[i], hs[j]
         if letter > 0:
-            conj = gi1.inverse() * gi * gi1
-            gs[a - 1], gs[a] = gi1, conj
-            for row in rows:
-                x, y = row[top:mid], row[mid:end]
-                xg, yc = row_times_matrix(x, gi1), row_times_matrix(y, conj)
-                row[top:end] = y + [s + t - u for s, t, u in zip(xg, y, yc)]
+            if hj is None:
+                hj = gj.inverse()
+            conj = hj * gi * gj
+            gs[i], gs[j] = gj, conj
+            hs[i], hs[j] = hj, None if hi is None else hj * hi * gj
         else:
-            inv = gi.inverse()
-            gs[a - 1], gs[a] = gi * gi1 * inv, gi
+            if hi is None:
+                hi = gi.inverse()
+            gs[i], gs[j] = gi * gj * hi, gi
+            hs[i], hs[j] = None if hj is None else gi * hj * hi, hi
+        if rows:
+            upper, lower = (gj, ident - conj) if letter > 0 else ((gj - ident) * hi, hi)
+            cols = tuple(zip(*upper.entries, *lower.entries))
+            top, end = n * i, n * (j + 1)
             for row in rows:
-                x, y = row[top:mid], row[mid:end]
-                xg = row_times_matrix(x, gi1)
-                row[top:end] = [*row_times_matrix([s - t + u for s, t, u in zip(xg, x, y)], inv), *x]
+                seg = row[top:end]
+                if any(seg):
+                    moved = [dot(seg, c) for c in cols]
+                    row[top:end] = [*seg[n:], *moved] if letter > 0 else [*moved, *seg[:n]]
     return tuple(gs)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import resources
 
@@ -78,6 +79,7 @@ def _int_list(value: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma separated integers, got {value!r}") from None
 
 
+@functools.cache  # one parser per process; each parse_args call returns a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radonmono",

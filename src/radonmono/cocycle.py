@@ -9,9 +9,10 @@ cocycle space is
 the coboundary space is E = {(v(g_1 - 1), ..., v(g_r - 1)) : v in V}, and
 the quotient W = H/E models the parabolic cohomology of the punctured line
 with coefficients in the rank-n local system defined by g.  A braid letter i
-deforms V^r by a block transvection of the blocks v_i and v_{i+1} only;
+deforms V^r through the blocks v_i and v_{i+1} only (`local_matrix`);
 `braid.act_on_rows`, the package's one braid action, applies a word to row
-vectors as one 2n-column update per letter while the tuple advances.
+vectors as one 2n x 2n block product per letter while the tuple, with the
+inverses of its entries, advances.
 `phibar` moves only the dim W middle rows of the flag basis, and
 `word_matrix` moves the identity rows.
 

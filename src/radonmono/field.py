@@ -234,9 +234,10 @@ class FieldSpec:
         d = len(powers[0])
         conv = [0] * (2 * d - 1)
         den = 1
+        zero = self._zero_one[0].coeffs  # canonical, so every zero element has exactly these
         for x, y in zip(xs, ys):
             a, b = x.coeffs, y.coeffs
-            if not (any(a) and any(b)):
+            if a == zero or b == zero:
                 continue
             e = x.den * y.den
             if den % e:

@@ -289,9 +289,10 @@ def row_times_matrix(row: Sequence[FieldElement], mat: Matrix) -> tuple[FieldEle
     """The row vector times mat, accumulated one row of mat at a time.
 
     Unlike `Matrix.__mul__` this does not go through `FieldSpec.dot`: a dot
-    per entry needs the columns of mat, and transposing mat on every call
-    (the nr x m condition matrix in `w_coordinates`, every letter in
-    `act_on_rows`) costs more than the single products save.
+    per entry needs the columns of mat, and transposing mat for one row (the
+    nr x m condition matrix in `w_coordinates`, the spins in `group`) costs
+    more than the single products save.  `braid.act_on_rows`, which moves
+    many rows by one letter matrix, builds the columns once and uses `dot`.
     """
     if len(row) != mat.rows:
         raise ShapeMismatch(f"row of length {len(row)} times {mat.rows}x{mat.cols}")

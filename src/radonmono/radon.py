@@ -21,6 +21,7 @@ from .braid import (
     BraidExpr,
     BraidWord,
     act_on_tuple,
+    check_length,
     expand,
     free_reduce,
     parse_braid,
@@ -300,21 +301,16 @@ def parse_fundamental_data(doc: dict, source: str = "<input>") -> FundamentalDat
             raise InputError(f"{source}: key {key!r} must be an array")
         out = []
         for bi, item in enumerate(items):
-            if isinstance(item, str):
-                try:
-                    out.append(parse_braid(item, strands))
-                except InputError as exc:
-                    raise InputError(f"{source}: {key}[{bi}]: {exc}") from None
-            elif isinstance(item, list) and all(_is_int(x) for x in item):
-                try:
-                    expr, _ = word_from_letters(item, strands)
-                except InputError as exc:
-                    raise InputError(f"{source}: {key}[{bi}]: {exc}") from None
-                out.append(expr)
-            else:
+            if not (isinstance(item, str) or isinstance(item, list) and all(_is_int(x) for x in item)):
                 raise InputError(
                     f"{source}: {key}[{bi}] must be a braid string or an integer array"
                 )
+            try:
+                expr = parse_braid(item, strands) if isinstance(item, str) else word_from_letters(item, strands)[0]
+                check_length(expr)
+            except InputError as exc:
+                raise InputError(f"{source}: {key}[{bi}]: {exc}") from None
+            out.append(expr)
         return tuple(out)
 
     if "braids" not in doc:

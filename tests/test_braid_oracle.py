@@ -88,9 +88,12 @@ def fox_value(word, g, g_inv, blocks, spec, n):
     return acc
 
 
-def check_against_oracle(g, letters, rng, nrows=2):
-    spec, n, r = g[0].spec, g[0].rows, len(g)
-    rows = [[_random_entry(rng, spec) for _ in range(n * r)] for _ in range(nrows)]
+def _random_rows(rng, g, nrows=2):
+    return [[_random_entry(rng, g[0].spec) for _ in range(g[0].rows * len(g))] for _ in range(nrows)]
+
+
+def check_against_oracle(g, letters, rows):
+    spec, n, r, nrows = g[0].spec, g[0].rows, len(g), len(rows)
     blocks = [Matrix.from_rows(spec, [row[n * j : n * (j + 1)] for row in rows], cols=n) for j in range(r)]
     images = artin_images(r, letters)
     g_inv = [m.inverse() for m in g]
@@ -123,16 +126,35 @@ def test_action_matches_oracle_on_inputs(path):
     fd = load_fundamental_data(path)
     rng = random.Random(7)
     for word in fd.words():
-        check_against_oracle(fd.g, list(word.letters), rng)
+        check_against_oracle(fd.g, list(word.letters), _random_rows(rng, fd.g))
 
 
-@pytest.mark.parametrize(
-    "spec", [FieldSpec.prime(101), FieldSpec.rational(), FieldSpec.cyclotomic(6)], ids=lambda s: s.label()
-)
+SPECS = [FieldSpec.prime(101), FieldSpec.rational(), FieldSpec.cyclotomic(6)]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
 def test_action_matches_oracle_on_seeded_words(spec):
     rng = random.Random(2024)
     for _ in range(12):
         n, r = rng.randint(1, 3), rng.randint(2, 5)
         g = tuple(_random_invertible(rng, spec, n) for _ in range(r))
         alphabet = [i for i in range(-(r - 1), r) if i]
-        check_against_oracle(g, [rng.choice(alphabet) for _ in range(rng.randint(0, 8))], rng)
+        check_against_oracle(g, [rng.choice(alphabet) for _ in range(rng.randint(0, 8))], _random_rows(rng, g))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+def test_action_matches_oracle_on_sparse_rows(spec):
+    # unit vectors, and rows that are zero on the blocks the first letter
+    # touches: the action leaves a row alone while both its blocks are zero
+    rng = random.Random(11)
+    for _ in range(8):
+        n, r = rng.randint(1, 3), rng.randint(3, 5)
+        g = tuple(_random_invertible(rng, spec, n) for _ in range(r))
+        alphabet = [i for i in range(-(r - 1), r) if i]
+        letters = [rng.choice(alphabet) for _ in range(rng.randint(1, 8))]
+        units = [list(row) for row in Matrix.identity(spec, n * r).entries]
+        a = abs(letters[0])
+        untouched = _random_rows(rng, g)
+        for row in untouched:
+            row[n * (a - 1) : n * (a + 1)] = [spec.zero()] * (2 * n)
+        check_against_oracle(g, letters, units + untouched)

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from radonmono.cli import fixture_path, main
+from radonmono.cli import build_parser, fixture_path, main
 from radonmono.field import FieldSpec
+from radonmono.group import DEFAULT_CAP
 
 
 def run_cli(args):
@@ -255,11 +256,14 @@ def test_compute_over_a_large_conductor_matches_q(tmp_path, capsys, four_lines_d
 def test_long_braid_word_exits_2(tmp_path, capsys, four_lines_doc):
     path = tmp_path / "long.json"
     path.write_text(json.dumps({**four_lines_doc, "braids": ["(b1^2)^100000", *four_lines_doc["braids"][1:]]}))
-    for command in ("compute", "check", "group"):
+    message = f"error: {path}: braids[0]: braid word expands to 200000 letters, more than the 100000 allowed\n"
+    for command in ("compute", "rank", "check", "group"):
         started = time.perf_counter()
         code, out, err = _exit_and_stderr(capsys, [command, "--input", str(path)])
         assert time.perf_counter() - started < 1.0
-        assert (code, out, err) == (2, "", "error: braid word expands to 200000 letters, more than the 100000 allowed\n")
+        assert (code, out, err) == (2, "", message)
+    path.write_text(json.dumps({**four_lines_doc, "relations": ["b1", "(b1^2)^100000"]}))
+    assert _exit_and_stderr(capsys, ["rank", "--input", str(path)]) == (2, "", message.replace("braids[0]", "relations[1]"))
 
 
 @pytest.mark.parametrize("mode", [["--exact"], []], ids=["exact", "modular"])
@@ -280,3 +284,16 @@ def test_group_cap_boundary_in_both_modes(capsys, mode):
     assert exceeded["decomposition"] == complete["decomposition"]
     modular_keys = ["primes", "order", "scalar_exponents"] if not mode else ["order"]
     assert list(complete) == ["cap", "mode", "status", *modular_keys, "derived_series", "solvable", "decomposition"]
+
+
+def test_successive_calls_share_no_parsed_values(capsys):
+    # the parser is built once per process; options of one call must not leak into the next
+    assert build_parser() is build_parser()
+    code, out, err = _exit_and_stderr(capsys, ["group", "--exact", "--cap", "5", "--input", "fixture:zariski_c"])
+    assert (code, err) == (0, "")
+    first = json.loads(out)["group"]
+    assert (first["mode"], first["cap"], first["status"]) == ("exact", 5, "cap_exceeded")
+    code, out, err = _exit_and_stderr(capsys, ["group", "--input", "fixture:zariski_c"])
+    assert (code, err) == (0, "")
+    second = json.loads(out)["group"]
+    assert (second["mode"], second["cap"], second["status"], second["order"]) == ("modular", DEFAULT_CAP, "complete", 648)
