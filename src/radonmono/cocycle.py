@@ -20,8 +20,11 @@ Both conditions on H are linear forms: v_i lies in Im(g_i - 1) exactly when
 it kills the fixed column vectors of g_i.  So H is the left kernel of one
 nr x m matrix M, m = n + sum_i dim Fix(g_i), and every elimination here has
 at most m rows.  The flag basis (E, then rows of H, then unit vectors) is
-chosen greedily by two such eliminations, and the W coordinates of a moved
-row are read from M and E without inverting the nr x nr flag basis.
+chosen greedily by two such eliminations, and the W coordinates of the
+moved rows are read from one product with M and reductions against E,
+without inverting the nr x nr flag basis.  The braid letters and that
+product take one `FieldSpec.dot` per entry, so each entry is normalised
+once.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .braid import BraidWord, act_on_rows
 from .braid import act_on_tuple  # noqa: F401  (perfbench's tracer looks the action up here)
 from .errors import ProductNotIdentity, ShapeMismatch
 from .field import FieldElement
-from .linalg import Matrix, Subspace, _Echelon, _reduce, hstack, image, kernel, product_of, row_times_matrix, square_tuple_shape
+from .linalg import Matrix, Subspace, _Echelon, _reduce, hstack, image, kernel, product_of, square_tuple_shape
 from .linalg import intersect  # noqa: F401  (perfbench's tracer looks the intersection up here)
 
 __all__ = [
@@ -55,8 +58,9 @@ class TupleSpaces:
     `middle` of the echelon basis of H that extend it to H, and the unit
     vectors e_i, i in `complement`, that extend H to V^r.  `conditions` is
     the nr x m matrix M with H = kernel(M).  `w_coordinates` reads the
-    coordinates of a vector on the middle rows with two small reductions,
-    so the nr x nr flag basis is never inverted.
+    coordinates of moved rows on the middle rows from one product with M and
+    two small reductions per row, so the nr x nr flag basis is never
+    inverted.
     """
 
     g: tuple[Matrix, ...]
@@ -74,22 +78,27 @@ class TupleSpaces:
     modulo_e: _Echelon = field(repr=False)  # E in H-coordinates, columns reversed
     coset: _Echelon = field(repr=False)  # [M_C | I], M_C the rows `complement` of M
 
-    def w_coordinates(self, v: Sequence[FieldElement]) -> list[FieldElement]:
-        """The middle dim_w entries of v T^-1, with T the flag basis.
+    def w_coordinates(self, rows: Sequence[Sequence[FieldElement]]) -> Matrix:
+        """The middle dim_w entries of v T^-1 for each row v, T the flag basis.
 
-        With v = e + sum_J b_j h_j + sum_C a_k e_k, vM = a M_C: reducing
-        [vM | 0] against the echelon of [M_C | I] leaves [0 | -a].  Then
-        v - sum_C a_k e_k lies in H; reduced at the pivots of H against E,
-        it keeps only b, at the positions J.
+        All rows are multiplied by M in one `Matrix` product.  With v = e +
+        sum_J b_j h_j + sum_C a_k e_k, vM = a M_C: reducing [vM | 0] against
+        the echelon of [M_C | I] leaves [0 | -a].  Then v - sum_C a_k e_k lies
+        in H; reduced at the pivots of H against E, it keeps only b, at the
+        positions J.  Returns a len(rows) x dim_w matrix.
         """
-        m, zero = self.conditions.cols, self.conditions.spec.zero()
-        vm = [*row_times_matrix(v, self.conditions), *(zero for _ in self.complement)]
-        tail = _reduce(self.coset.rows, self.coset.pivots, vm)[m:]
-        h = list(v)
-        for i, a in zip(self.complement, tail):
-            h[i] = h[i] + a
-        x = _reduce(self.modulo_e.rows, self.modulo_e.pivots, [h[p] for p in reversed(self.H.pivots)])
-        return [x[self.dim_h - 1 - j] for j in self.middle]
+        spec, m = self.conditions.spec, self.conditions.cols
+        pad = (spec.zero(),) * len(self.complement)
+        images = Matrix.from_rows(spec, rows, cols=self.conditions.rows) * self.conditions
+        out = []
+        for v, vm in zip(rows, images.entries):
+            tail = _reduce(self.coset.rows, self.coset.pivots, (*vm, *pad))[m:]
+            h = list(v)
+            for i, a in zip(self.complement, tail):
+                h[i] = h[i] + a
+            x = _reduce(self.modulo_e.rows, self.modulo_e.pivots, [h[p] for p in reversed(self.H.pivots)])
+            out.append([x[self.dim_h - 1 - j] for j in self.middle])
+        return Matrix.from_rows(spec, out, cols=self.dim_w)
 
 
 def _check_product(product: Matrix) -> None:
@@ -211,18 +220,12 @@ def local_matrix(g: Sequence[Matrix], letter: int) -> Matrix:
 
 
 def word_matrix(g: Sequence[Matrix], word: BraidWord | Sequence[int]) -> Matrix:
-    """The deformation matrix of a braid word: the left-to-right product of
-    single-letter matrices while the tuple advances under the action."""
-    return word_matrix_with_target(g, word)[0]
-
-
-def word_matrix_with_target(
-    g: Sequence[Matrix], word: BraidWord | Sequence[int]
-) -> tuple[Matrix, tuple[Matrix, ...]]:
+    """The deformation matrix of a braid word: the identity rows of V^r moved
+    through the word by `act_on_rows`."""
     spec, size = g[0].spec, g[0].rows * len(g)
     rows = [list(row) for row in Matrix.identity(spec, size).entries]
-    target = act_on_rows(g, word, rows)
-    return Matrix.from_rows(spec, rows, cols=size), target
+    act_on_rows(g, word, rows)
+    return Matrix.from_rows(spec, rows, cols=size)
 
 
 def phibar(
@@ -235,7 +238,7 @@ def phibar(
     """The map induced on the quotient W = H/E by a braid word.
 
     The dim_w middle rows of the source flag basis are moved through the
-    word by `act_on_rows`, and each moved row is read in the flag basis by
+    word by `act_on_rows`, and the moved rows are read in the flag basis by
     `TupleSpaces.w_coordinates`.  The same source basis is used on both
     sides; for words that move the tuple this reads the result in the source
     flag coordinates.  With verify=True the basis rows of H and E are moved
@@ -251,7 +254,7 @@ def phibar(
         _verify_stability(ts, checked, target)
     if targets is not None:
         targets.append(target)
-    return Matrix.from_rows(ts.transition.spec, [ts.w_coordinates(row) for row in rows], cols=ts.dim_w)
+    return ts.w_coordinates(rows)
 
 
 def _verify_stability(ts: TupleSpaces, moved: list[list[FieldElement]], target: Sequence[Matrix]):

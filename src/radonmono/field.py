@@ -337,7 +337,7 @@ class FieldElement:
         return self.den == 1 and self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.coeffs)
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -46,7 +46,6 @@ from .linalg import (
     intertwiner_space,
     kernel,
     product_of,
-    row_times_matrix,
     square_tuple_shape,
     subspace_sum,
     vstack,
@@ -232,18 +231,17 @@ def spin_subspace(gens, seed_space: Subspace) -> Subspace:
 
 
 def _spin(generators: Sequence[Matrix], seed_space: Subspace) -> Subspace:
-    # Breadth-first images of the seed rows; an echelon that spans the whole
-    # ambient space can grow no further, so the search stops there.
-    n = seed_space.ambient_dim
+    # Breadth-first layers: the images of a layer under each generator are one
+    # product, and those that grow the echelon form the next layer.  An
+    # echelon that spans the whole ambient space can grow no further, so the
+    # search stops there; the RREF of the span does not depend on the order.
+    n, spec = seed_space.ambient_dim, seed_space.spec
     ech = _Echelon(seed_space.basis.entries)
-    queue = list(seed_space.basis.entries)
-    while queue and len(ech.rows) < n:
-        vec = queue.pop()
-        for gen in generators:
-            img = row_times_matrix(vec, gen)
-            if ech.add(img):
-                queue.append(img)
-    return ech.subspace(seed_space.spec, n)
+    layer = seed_space.basis
+    while layer.rows and len(ech.rows) < n:
+        grown = [img for gen in generators for img in (layer * gen).entries if ech.add(img)]
+        layer = Matrix(spec, tuple(grown), cols=n)
+    return ech.subspace(spec, n)
 
 
 def fixed_subspace(gens) -> Subspace:
@@ -268,14 +266,10 @@ def moving_subspace(gens) -> Subspace:
 def restricted_tuple(gens, space: Subspace) -> list[Matrix]:
     """The action of the generators on an invariant subspace, in its basis."""
     group = _as_generators(gens)
-    out = []
-    for g in group.generators:
-        rows = []
-        for row in space.basis.entries:
-            img = row_times_matrix(row, g)
-            rows.append(space.coordinates(img))
-        out.append(Matrix.from_rows(group.spec, rows, cols=space.dim))
-    return out
+    return [
+        Matrix.from_rows(group.spec, [space.coordinates(img) for img in (space.basis * g).entries], cols=space.dim)
+        for g in group.generators
+    ]
 
 
 def invariant_decomposition(gens) -> dict:

@@ -4,6 +4,10 @@ Linear maps act on row vectors from the right: v maps to v*A.  Consequently
 image(A) is the row space of A and kernel(A) is the left kernel
 {v : v*A = 0}.
 
+Every exact product is a `Matrix` product, one `FieldSpec.dot` per entry
+against the columns of the right factor, built once per product: each entry
+is normalised once.  A vector times a matrix is a one-row product.
+
 All elimination is one incremental echelon, `_Echelon`, grown a row at a
 time and kept in reduced row echelon form: each row has a leading one at its
 pivot and zeros at every other pivot, and the rows are sorted by pivot.
@@ -35,7 +39,6 @@ __all__ = [
     "intertwiner_space",
     "hstack",
     "vstack",
-    "row_times_matrix",
     "product_of",
     "square_tuple_shape",
 ]
@@ -283,27 +286,6 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
         if m.spec != spec:
             raise FieldMismatch("vstack over different fields")
     return Matrix(spec, tuple(row for m in mats for row in m.entries), cols=cols)
-
-
-def row_times_matrix(row: Sequence[FieldElement], mat: Matrix) -> tuple[FieldElement, ...]:
-    """The row vector times mat, accumulated one row of mat at a time.
-
-    Unlike `Matrix.__mul__` this does not go through `FieldSpec.dot`: a dot
-    per entry needs the columns of mat, and transposing mat for one row (the
-    nr x m condition matrix in `w_coordinates`, the spins in `group`) costs
-    more than the single products save.  `braid.act_on_rows`, which moves
-    many rows by one letter matrix, builds the columns once and uses `dot`.
-    """
-    if len(row) != mat.rows:
-        raise ShapeMismatch(f"row of length {len(row)} times {mat.rows}x{mat.cols}")
-    zero = mat.spec.zero()
-    acc = [zero] * mat.cols
-    for k, a in enumerate(row):
-        if a.is_zero():
-            continue
-        mrow = mat.entries[k]
-        acc = [s + a * b for s, b in zip(acc, mrow)]
-    return tuple(acc)
 
 
 def square_tuple_shape(mats: Sequence[Matrix]) -> tuple[FieldSpec, int]:

@@ -30,7 +30,7 @@ from radonmono.group import (
     spin,
     spin_subspace,
 )
-from radonmono.linalg import Matrix, Subspace, intertwiner_space, row_times_matrix
+from radonmono.linalg import Matrix, Subspace, intertwiner_space
 
 Q6 = FieldSpec.cyclotomic(6)
 GF7 = FieldSpec.prime(7)
@@ -119,9 +119,9 @@ def test_spin_output_is_stable():
             continue
     seed = [GF7.one(), GF7.zero(), GF7.zero()]
     space = spin(mats, seed)
-    for row in space.basis.entries:
-        for m in mats:
-            assert space.contains_vector(row_times_matrix(row, m))
+    for m in mats:
+        for row in (space.basis * m).entries:
+            assert space.contains_vector(row)
 
 
 def test_fixed_and_moving_subspaces():
@@ -537,7 +537,7 @@ def full_spin(gens, rows):
     while queue:
         vec = queue.pop()
         for g in gens:
-            img = row_times_matrix(vec, g)
+            img = [sum((a * b for a, b in zip(vec, col)), spec.zero()) for col in zip(*g.entries)]
             if not Subspace.from_rows(spec, d, found).contains_vector(img):
                 found.append(img)
                 queue.append(img)

@@ -88,10 +88,7 @@ def test_kernel_is_annihilator():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         a = mat([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
         k = kernel(a)
-        for row in k.basis.entries:
-            from radonmono.linalg import row_times_matrix
-
-            assert all(e.is_zero() for e in row_times_matrix(row, a))
+        assert (k.basis * a).is_zero()
         _, _, rank = rref(a)
         assert k.dim == rows - rank
 
