@@ -16,7 +16,7 @@ from .braid import (
     parse_braid,
 )
 from .cli import fixture_path
-from .cocycle import TupleSpaces, compute_E, compute_H, local_matrix, phibar, trafodat, word_matrix
+from .cocycle import TupleSpaces, compute_E, compute_H, phibar, trafodat
 from .errors import RadonError
 from .field import FieldElement, FieldSpec, format_element, parse_element
 from .group import (

@@ -9,22 +9,21 @@ cocycle space is
 the coboundary space is E = {(v(g_1 - 1), ..., v(g_r - 1)) : v in V}, and
 the quotient W = H/E models the parabolic cohomology of the punctured line
 with coefficients in the rank-n local system defined by g.  A braid letter i
-deforms V^r through the blocks v_i and v_{i+1} only (`local_matrix`);
-`braid.act_on_rows`, the package's one braid action, applies a word to row
-vectors as one 2n x 2n block product per letter while the tuple, with the
-inverses of its entries, advances.
-`phibar` moves only the dim W middle rows of the flag basis, and
-`word_matrix` moves the identity rows.
+deforms V^r through the blocks v_i and v_{i+1} only; `braid.act_on_rows`,
+the package's one braid action, applies a word to row vectors as one 2n x 2n
+block product per letter while the tuple, with the inverses of its entries,
+advances.  `phibar` moves only the dim W rows of H that stand for W.
 
 Both conditions on H are linear forms: v_i lies in Im(g_i - 1) exactly when
 it kills the fixed column vectors of g_i.  So H is the left kernel of one
 nr x m matrix M, m = n + sum_i dim Fix(g_i), and every elimination here has
-at most m rows.  The flag basis (E, then rows of H, then unit vectors) is
-chosen greedily by two such eliminations, and the W coordinates of the
-moved rows are read from one product with M and reductions against E,
-without inverting the nr x nr flag basis.  The braid letters and that
-product take one `FieldSpec.dot` per entry, so each entry is normalised
-once.
+at most m rows.  The W coordinates are those of the greedy flag basis of
+V^r: the echelon basis of E, then each echelon row of H, then each unit
+vector, each kept when it is independent of the rows before it.  Two such
+eliminations choose the kept rows, and the coordinates of moved rows are
+read from one product with M and reductions against E, so the nr x nr flag
+basis is neither stored nor inverted.  The braid letters and that product
+take one `FieldSpec.dot` per entry, so each entry is normalised once.
 """
 
 from __future__ import annotations
@@ -44,23 +43,20 @@ __all__ = [
     "compute_H",
     "compute_E",
     "trafodat",
-    "local_matrix",
-    "word_matrix",
     "phibar",
 ]
 
 
 @dataclass
 class TupleSpaces:
-    """A tuple g with its cocycle data and the flag basis of V^r.
+    """A tuple g with its cocycle data and the greedy flag of V^r.
 
-    The rows of `transition` are, in order, the echelon basis of E, the rows
-    `middle` of the echelon basis of H that extend it to H, and the unit
-    vectors e_i, i in `complement`, that extend H to V^r.  `conditions` is
-    the nr x m matrix M with H = kernel(M).  `w_coordinates` reads the
-    coordinates of moved rows on the middle rows from one product with M and
-    two small reductions per row, so the nr x nr flag basis is never
-    inverted.
+    The flag basis is, in order, the echelon basis of E, the rows `middle`
+    of the echelon basis of H that extend it to H, and the unit vectors e_i,
+    i in `complement`, that extend H to V^r; it defines the W coordinates
+    but is not stored.  `conditions` is the nr x m matrix M with H =
+    kernel(M).  `w_coordinates` reads the coordinates of moved rows on the
+    middle rows from one product with M and two small reductions per row.
     """
 
     g: tuple[Matrix, ...]
@@ -71,7 +67,6 @@ class TupleSpaces:
     dim_e: int
     dim_h: int
     dim_w: int
-    transition: Matrix
     conditions: Matrix
     middle: tuple[int, ...]
     complement: tuple[int, ...]
@@ -151,41 +146,36 @@ def compute_E(g: Sequence[Matrix]) -> Subspace:
     return _coboundaries(g)
 
 
-def extend_basis(
-    e: Subspace, h: Subspace, conditions: Matrix
-) -> tuple[Matrix, tuple[int, ...], tuple[int, ...], _Echelon]:
-    """The greedy flag basis through E, H = kernel(conditions) and V^r.
+def extend_basis(e: Subspace, h: Subspace, conditions: Matrix) -> tuple[tuple[int, ...], tuple[int, ...], _Echelon]:
+    """The rows that the greedy flag through E, H = kernel(conditions) and
+    V^r keeps.
 
-    Its rows are the echelon basis of E, then each echelon row of H not in
+    The flag is the echelon basis of E, then each echelon row of H not in
     the span of the rows before it, then each unit vector e_i likewise.  In
     H-coordinates (the entries at the pivots of H) the H rows are unit
     vectors, and the accepted ones are those off the pivots of E eliminated
     with its columns reversed (a greedy unit extension is the complement of
     the right-to-left column basis).  e_i modulo H maps to row i of the
     conditions, so the accepted e_i are the greedy independent rows.
-    Returns the flag, the accepted H rows J, the accepted indices C and the
-    reversed echelon of E.
+    Returns the accepted H rows J, the accepted indices C and the reversed
+    echelon of E; the flag itself is never built.
     """
     modulo_e = _Echelon(tuple(row[p] for p in reversed(h.pivots)) for row in e.basis.entries)
     rejected = {h.dim - 1 - p for p in modulo_e.pivots}
     middle = tuple(j for j in range(h.dim) if j not in rejected)
     independent = _Echelon()
     complement = tuple(i for i, row in enumerate(conditions.entries) if independent.add(row))
-    spec, size = e.spec, e.ambient_dim
-    one, zero = spec.one(), spec.zero()
-    units = (tuple(one if j == i else zero for j in range(size)) for i in complement)
-    rows = (*e.basis.entries, *(h.basis.entries[j] for j in middle), *units)
-    return Matrix(spec, rows, cols=size), middle, complement, modulo_e
+    return middle, complement, modulo_e
 
 
 def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
-    """Cocycle data of g together with the deterministic flag basis."""
+    """Cocycle data of g together with the rows its greedy flag keeps."""
     _, n = square_tuple_shape(g)
     conditions = _conditions(g)
     e, h = _coboundaries(g), kernel(conditions)
     if not (e.basis * conditions).is_zero():
         raise ShapeMismatch("coboundary space escapes the cocycle space")
-    t, middle, complement, modulo_e = extend_basis(e, h, conditions)
+    middle, complement, modulo_e = extend_basis(e, h, conditions)
     one, zero, c = e.spec.one(), e.spec.zero(), len(complement)
     coset = _Echelon(
         (*conditions.entries[i], *(one if j == k else zero for j in range(c))) for k, i in enumerate(complement)
@@ -199,7 +189,6 @@ def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
         dim_e=e.dim,
         dim_h=h.dim,
         dim_w=h.dim - e.dim,
-        transition=t,
         conditions=conditions,
         middle=middle,
         complement=complement,
@@ -208,53 +197,25 @@ def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
     )
 
 
-def local_matrix(g: Sequence[Matrix], letter: int) -> Matrix:
-    """The deformation matrix of a single braid letter on V^r.
-
-    Positive letter i places the block [[0, g_{i+1}], [1, 1 - g_{i+1}^-1 g_i
-    g_{i+1}]] at block position i; the negative letter carries the closed
-    form [[(g_{i+1} - 1) g_i^-1, 1], [g_i^-1, 0]], which equals the inverse
-    of the positive matrix of the advanced tuple.
-    """
-    return word_matrix(g, [letter])
-
-
-def word_matrix(g: Sequence[Matrix], word: BraidWord | Sequence[int]) -> Matrix:
-    """The deformation matrix of a braid word: the identity rows of V^r moved
-    through the word by `act_on_rows`."""
-    spec, size = g[0].spec, g[0].rows * len(g)
-    rows = [list(row) for row in Matrix.identity(spec, size).entries]
-    act_on_rows(g, word, rows)
-    return Matrix.from_rows(spec, rows, cols=size)
-
-
 def phibar(
-    g: Sequence[Matrix],
-    word: BraidWord | Sequence[int],
-    spaces: TupleSpaces | None = None,
-    verify: bool = False,
-    targets: list[tuple[Matrix, ...]] | None = None,
-) -> Matrix:
-    """The map induced on the quotient W = H/E by a braid word.
+    ts: TupleSpaces, word: BraidWord | Sequence[int], verify: bool = False
+) -> tuple[Matrix, tuple[Matrix, ...]]:
+    """The map induced on the quotient W = H/E by a braid word, and the tuple
+    the word moves ts.g to.
 
-    The dim_w middle rows of the source flag basis are moved through the
-    word by `act_on_rows`, and the moved rows are read in the flag basis by
-    `TupleSpaces.w_coordinates`.  The same source basis is used on both
-    sides; for words that move the tuple this reads the result in the source
-    flag coordinates.  With verify=True the basis rows of H and E are moved
-    along and the stability of the cocycle and coboundary spaces is checked
-    exactly.  The tuple the word moves g to is appended to `targets` when
-    that list is given.
+    The dim_w rows `ts.middle` of the echelon basis of H are moved through
+    the word by `act_on_rows`, and the moved rows are read in the source
+    flag basis by `TupleSpaces.w_coordinates`; for words that move the tuple
+    the result is in the source flag coordinates.  With verify=True the
+    basis rows of H and E are moved along and the stability of the cocycle
+    and coboundary spaces is checked exactly.
     """
-    ts = spaces if spaces is not None else trafodat(g)
-    rows = [list(row) for row in ts.transition.entries[ts.dim_e : ts.dim_h]]
+    rows = [list(ts.H.basis.entries[j]) for j in ts.middle]
     checked = [list(row) for row in ts.H.basis.entries + ts.E.basis.entries] if verify else []
-    target = act_on_rows(g, word, rows + checked)
+    target = act_on_rows(ts.g, word, rows + checked)
     if verify:
         _verify_stability(ts, checked, target)
-    if targets is not None:
-        targets.append(target)
-    return ts.w_coordinates(rows)
+    return ts.w_coordinates(rows), target
 
 
 def _verify_stability(ts: TupleSpaces, moved: list[list[FieldElement]], target: Sequence[Matrix]):

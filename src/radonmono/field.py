@@ -30,11 +30,14 @@ __all__ = [
     "is_prime",
 ]
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _MR_BASES (Sorenson and Webster, Math. Comp. 2017)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
+    """Miller-Rabin to the first 13 prime bases; exact for every n below
+    _MR_BOUND = 3,317,044,064,679,887,385,961,981 (about 3.3e24)."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -124,6 +127,8 @@ class FieldSpec:
         elif self.kind == "prime":
             if self.m is not None:
                 raise InputError("prime field takes no conductor m")
+            if self.p is not None and self.p >= _MR_BOUND:
+                raise InputError(f"prime modulus {self.p} is not below {_MR_BOUND}, where the primality test is exact")
             if self.p is None or not is_prime(self.p):
                 raise InputError(f"prime field needs a prime modulus, got {self.p}")
         elif self.kind == "cyclotomic":

@@ -288,7 +288,7 @@ def invariant_decomposition(gens) -> dict:
         "moving_irreducible_by_spinning": None,
         "moving_endomorphism_dim": None,
     }
-    if moving.dim == d:
+    if 0 < moving.dim == d:
         # the moving space is V: its coordinates are the standard ones, already spun
         summary["moving_irreducible_by_spinning"] = all(dim == d for dim in seed_dims)
         summary["moving_endomorphism_dim"] = intertwiner_space(group.generators, group.generators).dim

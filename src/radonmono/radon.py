@@ -139,7 +139,7 @@ def radon_transform(fd: FundamentalData, verify: bool = False) -> RadonResult:
     """Compute the output monodromy tuple in the deterministic flag basis.
 
     `trafodat` checks the product rule.  Each word moves the tuple once: the
-    targets that `phibar` reaches decide `vankampen_ok` and its warnings, as
+    targets that `phibar` returns decide `vankampen_ok` and its warnings, as
     `validate` would.  The rank formula n(r-2) - sum_i dim Fix(g_i) is
     n(r-1) - m, with m the column count of the condition matrix.
     """
@@ -147,9 +147,9 @@ def radon_transform(fd: FundamentalData, verify: bool = False) -> RadonResult:
     words = fd.words()  # raises StrandOutOfRange on bad letters
     ts = trafodat(fd.g)  # raises ProductNotIdentity
     report = ValidationReport(True, True, True)
-    targets: list[tuple[Matrix, ...]] = []
-    gtilde = tuple(phibar(fd.g, w, ts, verify=verify, targets=targets) for w in words)
-    _note_moved(report, fd.g, targets)
+    moved = [phibar(ts, w, verify=verify) for w in words]
+    gtilde = tuple(m for m, _ in moved)
+    _note_moved(report, fd.g, [target for _, target in moved])
 
     rank = ts.n * (ts.r - 1) - ts.conditions.cols
     rank_matches = rank == ts.dim_w

@@ -11,8 +11,9 @@ import json
 import random
 import time
 
+from deformation import word_matrix
 from radonmono.braid import BraidWord, act_on_tuple, expand, parse_braid
-from radonmono.cocycle import compute_E, compute_H, word_matrix
+from radonmono.cocycle import compute_E, compute_H
 from radonmono.field import FieldSpec
 from radonmono.group import (
     closure,

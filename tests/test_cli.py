@@ -219,6 +219,32 @@ def test_conductor_bound_exits_2(tmp_path, capsys, monkeypatch, four_lines_doc, 
         assert (code, out, err) == (2, "", f"error: {path}: field.m must be at most 3000, got {m}\n")
 
 
+@pytest.mark.parametrize("p", [318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981])
+def test_strong_pseudoprime_modulus_exits_2(tmp_path, capsys, p):
+    # the first is 399,165,290,221 x 798,330,580,441, so 1/399165290221 has no inverse
+    doc = {"field": {"kind": "prime", "p": p}, "n": 1, "r": 2, "braids": ["b1^2"]}
+    doc["matrices"] = [[["1/399165290221"]], [["399165290221"]]]
+    path = tmp_path / "psp.json"
+    path.write_text(json.dumps(doc))
+    for command in ("compute", "rank", "check", "group"):
+        code, out, err = _exit_and_stderr(capsys, [command, "--input", str(path)])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and str(p) in err
+
+
+def test_group_on_the_zero_module_prints_null_moving_keys(tmp_path, capsys):
+    # n = 1, r = 2, g = (z, z^2) over Q(zeta_3) has dim W = 0
+    doc = {"field": {"kind": "cyclotomic", "m": 3}, "n": 1, "r": 2, "braids": ["b1^2", "b1"]}
+    doc["matrices"] = [[["z"]], [["z^2"]]]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    for flags in ([], ["--exact"]):
+        code, out, err = _exit_and_stderr(capsys, ["group", "--input", str(path), *flags])
+        deco = json.loads(out)["group"]["decomposition"]
+        assert code == 0 and deco["moving_dim"] == 0
+        assert deco["moving_irreducible_by_spinning"] is None and deco["moving_endomorphism_dim"] is None
+
+
 def test_unreadable_input_exits_2(tmp_path, capsys):
     undecodable = tmp_path / "latin1.json"
     undecodable.write_bytes(b'{"description": "caf\xe9"}')

@@ -3,15 +3,9 @@ import random
 
 import pytest
 
+from deformation import local_matrix, word_matrix
 from radonmono.braid import BraidWord, act_on_tuple
-from radonmono.cocycle import (
-    compute_E,
-    compute_H,
-    local_matrix,
-    phibar,
-    trafodat,
-    word_matrix,
-)
+from radonmono.cocycle import compute_E, compute_H, phibar, trafodat
 from radonmono.errors import ProductNotIdentity, ShapeMismatch, Singular, StrandOutOfRange
 from radonmono.field import FieldSpec
 from radonmono.linalg import Matrix, product_of, rref
@@ -106,8 +100,9 @@ def test_trafodat_dims():
     # flag structure: first rows span E, first dim_h rows span H
     from radonmono.linalg import Subspace
 
-    lead = Subspace.from_rows(Q, 4, trafodat(minus_ones()).transition.entries[:1])
-    assert lead == trafodat(minus_ones()).E
+    ts = trafodat(minus_ones())
+    lead = Subspace.from_rows(Q, 4, greedy_flag(ts.E, ts.H, 4).entries[:1])
+    assert lead == ts.E
 
 
 def test_local_matrix_golden():
@@ -151,7 +146,7 @@ def test_out_of_range_letter_raises_strand_error():
         with pytest.raises(StrandOutOfRange):
             act_on_tuple(g, [1, letter])
         with pytest.raises(StrandOutOfRange):
-            phibar(g, [letter], ts)
+            phibar(ts, [letter])
         with pytest.raises(StrandOutOfRange):
             word_matrix(g, [letter, 1])
     assert act_on_tuple((), []) == ()
@@ -272,15 +267,15 @@ def test_braid_relation_on_cocycle_space():
 def test_phibar_examples(four_lines_fd):
     g = minus_ones()
     ts = trafodat(g)
-    assert phibar(g, [], ts) == Matrix.identity(Q, 2)
-    sq = phibar(g, [1, 1], ts, verify=True)
+    assert phibar(ts, [])[0] == Matrix.identity(Q, 2)
+    sq = phibar(ts, [1, 1], verify=True)[0]
     # basis-independent invariants of a unipotent transvection square
     assert sq.entries[0][0] + sq.entries[1][1] == Q.from_int(2)
     assert sq != Matrix.identity(Q, 2)
     # inverse pair on a fixed tuple
     word = BraidWord(4, (1, 2, 2, 1))
     inv = word.inverse()
-    assert phibar(g, word, ts) * phibar(g, inv, ts) == Matrix.identity(Q, 2)
+    assert phibar(ts, word)[0] * phibar(ts, inv)[0] == Matrix.identity(Q, 2)
 
 
 # -- differential: the projected phibar against the dense conjugated product --
@@ -288,7 +283,7 @@ def test_phibar_examples(four_lines_fd):
 
 def dense_letter(g, letter):
     """The nr x nr matrix of one letter, assembled from the block formulas in
-    the `local_matrix` docstring by plain list slicing."""
+    the `deformation.local_matrix` docstring by plain list slicing."""
     n, r, spec = g[0].rows, len(g), g[0].spec
     i = abs(letter) - 1
     gi, gi1 = g[i], g[i + 1]
@@ -315,8 +310,9 @@ def dense_word(g, word):
 
 
 def dense_phibar(g, word, ts):
-    """The middle dim_w block of T * dense_word * T^-1."""
-    conj = ts.transition * dense_word(g, word) * ts.transition.inverse()
+    """The middle dim_w block of T * dense_word * T^-1, T the greedy flag."""
+    flag = greedy_flag(ts.E, ts.H, g[0].rows * len(g))
+    conj = flag * dense_word(g, word) * flag.inverse()
     lo, hi = ts.dim_e, ts.dim_h
     return Matrix.from_rows(g[0].spec, [row[lo:hi] for row in conj.entries[lo:hi]], cols=ts.dim_w)
 
@@ -332,8 +328,8 @@ def test_phibar_against_dense_product(spec):
         letters = [i for i in range(-(r - 1), r) if i != 0]
         for word in [[]] + [[rng.choice(letters) for _ in range(rng.randint(1, 6))] for _ in range(3)]:
             expected = dense_phibar(g, word, ts)
-            assert phibar(g, word, ts) == expected
-            assert phibar(g, word, ts, verify=True) == expected
+            assert phibar(ts, word)[0] == expected
+            assert phibar(ts, word, verify=True)[0] == expected
             assert word_matrix(g, word) == dense_word(g, word)
 
 
@@ -357,11 +353,35 @@ def test_transition_is_the_greedy_flag(spec):
         n, r = rng.randint(1 + (case % 3 == 2), 3), rng.randint(3, 5)
         g = TUPLE_KINDS[case % 3](rng, spec, n, r)
         ts = trafodat(g)
-        assert ts.transition == greedy_flag(ts.E, ts.H, n * r)
+        assert greedy_flag(ts.E, ts.H, n * r) == kept_flag(ts)
         skipped += ts.middle != tuple(range(ts.dim_w))
     assert skipped  # some H row before the last one is not taken
     ts = trafodat(minus_ones())
-    assert ts.transition == greedy_flag(ts.E, ts.H, 4)
+    assert greedy_flag(ts.E, ts.H, 4) == kept_flag(ts)
+
+
+def kept_flag(ts):
+    """The E rows, then the H rows at `ts.middle`, then the unit vectors at
+    `ts.complement`."""
+    spec, size = ts.E.spec, ts.n * ts.r
+    units = [tuple(spec.one() if j == i else spec.zero() for j in range(size)) for i in ts.complement]
+    middle = [ts.H.basis.entries[j] for j in ts.middle]
+    return Matrix.from_rows(spec, list(ts.E.basis.entries) + middle + units, cols=size)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.prime(101), Q, Q6], ids=["GF101", "Q", "Qzeta6"])
+def test_phibar_returns_the_target_tuple(spec):
+    # the full twist fixes every product-one tuple; [1, -3] moves a random one
+    rng = random.Random(f"target:{spec.label()}")
+    n, r = 2, 4
+    g = _random_tuple(rng, spec, n, r)
+    ts = trafodat(g)
+    twist = list(range(1, r)) * r
+    for word, fixes in ((twist, True), ([1, -3], False)):
+        target = phibar(ts, word)[1]
+        assert target == act_on_tuple(g, word)
+        assert (target == g) is fixes
+        assert phibar(ts, word, verify=True)[1] == target
 
 
 @pytest.mark.parametrize("spec", [FieldSpec.prime(101), Q, Q6], ids=["GF101", "Q", "Qzeta6"])

@@ -47,6 +47,23 @@ def test_spec_validation():
     assert FieldSpec.prime(7).characteristic == 7
 
 
+# the least strong pseudoprimes to the first 12 and the first 13 prime bases
+PSP_12 = 318_665_857_834_031_151_167_461
+PSP_13 = 3_317_044_064_679_887_385_961_981
+
+
+def test_is_prime_is_exact_below_the_documented_bound():
+    assert PSP_12 == 399_165_290_221 * 798_330_580_441
+    assert PSP_13 == 1_287_836_182_261 * 2_575_672_364_521
+    assert not field.is_prime(PSP_12)
+    assert field.is_prime(2**61 - 1) and not field.is_prime((2**61 - 1) * (2**31 - 1))
+    # PSP_13 fools all 13 bases, so every modulus from it on is refused, the prime 2^89 - 1 too
+    for p in (PSP_12, PSP_13, 2**89 - 1):
+        with pytest.raises(InputError):
+            FieldSpec.prime(p)
+    assert FieldSpec.prime(2**61 - 1).p == 2**61 - 1
+
+
 def test_zeta6_squared_reduces():
     # zeta^2 reduces to zeta - 1 modulo z^2 - z + 1
     q6 = FieldSpec.cyclotomic(6)

@@ -31,6 +31,7 @@ from radonmono.group import (
     spin_subspace,
 )
 from radonmono.linalg import Matrix, Subspace, intertwiner_space
+from radonmono.radon import parse_fundamental_data, radon_transform
 
 Q6 = FieldSpec.cyclotomic(6)
 GF7 = FieldSpec.prime(7)
@@ -620,6 +621,16 @@ def test_spin_equals_full_breadth_first_search(make):
         assert spin_subspace(gens, pair) == full_spin(gens, pair.basis.entries)
 
 
+# n = 1, r = 2, g = (z, z^2) over Q(zeta_3): dim W = 0, so the output tuple is two 0 x 0 matrices
+ZERO_W_DOC = {
+    "field": {"kind": "cyclotomic", "m": 3},
+    "n": 1,
+    "r": 2,
+    "matrices": [[["z"]], [["z^2"]]],
+    "braids": ["b1^2", "b1"],
+}
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -628,8 +639,9 @@ def test_spin_equals_full_breadth_first_search(make):
         lambda: [Matrix.from_ints(Q6, [[0, 1], [1, 0]])],
         lambda: [Matrix.from_ints(GF7, [[0, -1], [1, -1]]), Matrix.from_ints(GF7, [[0, 1], [1, 0]])],
         lambda: [scalar_matrix(Q6, Q6.gen(), 3)],
+        lambda: list(radon_transform(parse_fundamental_data(ZERO_W_DOC)).gtilde),
     ],
-    ids=["two_plus_two", "reflections_with_fixed_line", "swap", "s3_gf7", "scalar"],
+    ids=["two_plus_two", "reflections_with_fixed_line", "swap", "s3_gf7", "scalar", "zero_module"],
 )
 def test_decomposition_with_and_without_the_moving_space_shortcut(make):
     gens = make()
