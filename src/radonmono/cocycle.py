@@ -9,10 +9,10 @@ cocycle space is
 the coboundary space is E = {(v(g_1 - 1), ..., v(g_r - 1)) : v in V}, and
 the quotient W = H/E models the parabolic cohomology of the punctured line
 with coefficients in the rank-n local system defined by g.  A braid letter i
-deforms V^r through the blocks v_i and v_{i+1} only; `braid.act_on_rows`,
-the package's one braid action, applies a word to row vectors as one 2n x 2n
-block product per letter while the tuple, with the inverses of its entries,
-advances.  `phibar` moves only the dim W rows of H that stand for W.
+deforms V^r through the blocks v_i and v_{i+1} only; the braid action moves
+row vectors by one block product per letter while the tuple, with the
+inverses of its entries, advances, all as integer numerators that `trafodat`
+forms once.  `phibar` moves only the dim W rows of H that stand for W.
 
 Both conditions on H are linear forms: v_i lies in Im(g_i - 1) exactly when
 it kills the fixed column vectors of g_i.  So H is the left kernel of one
@@ -22,8 +22,8 @@ V^r: the echelon basis of E, then each echelon row of H, then each unit
 vector, each kept when it is independent of the rows before it.  Two such
 eliminations choose the kept rows, and the coordinates of moved rows are
 read from one product with M and reductions against E, so the nr x nr flag
-basis is neither stored nor inverted.  The braid letters and that product
-take one `FieldSpec.dot` per entry, so each entry is normalised once.
+basis is neither stored nor inverted.  That product takes one
+`FieldSpec.dot` per entry, so each entry is normalised once.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .braid import BraidWord, act_on_rows
+from .braid import BraidWord, _Numerators, _word_letters
 from .braid import act_on_tuple  # noqa: F401  (perfbench's tracer looks the action up here)
 from .errors import ProductNotIdentity, ShapeMismatch
 from .field import FieldElement
@@ -72,6 +72,8 @@ class TupleSpaces:
     complement: tuple[int, ...]
     modulo_e: _Echelon = field(repr=False)  # E in H-coordinates, columns reversed
     coset: _Echelon = field(repr=False)  # [M_C | I], M_C the rows `complement` of M
+    start: _Numerators = field(repr=False)  # g and its inverses as integer numerators
+    moving: tuple[list[list[int]], int] = field(repr=False)  # the rows `middle` of H, likewise
 
     def w_coordinates(self, rows: Sequence[Sequence[FieldElement]]) -> Matrix:
         """The middle dim_w entries of v T^-1 for each row v, T the flag basis.
@@ -180,6 +182,7 @@ def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
     coset = _Echelon(
         (*conditions.entries[i], *(one if j == k else zero for j in range(c))) for k, i in enumerate(complement)
     )
+    start = _Numerators(g)
     return TupleSpaces(
         g=tuple(g),
         n=n,
@@ -194,6 +197,8 @@ def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
         complement=complement,
         modulo_e=modulo_e,
         coset=coset,
+        start=start,
+        moving=start.slots([h.basis.entries[j] for j in middle]),
     )
 
 
@@ -203,19 +208,21 @@ def phibar(
     """The map induced on the quotient W = H/E by a braid word, and the tuple
     the word moves ts.g to.
 
-    The dim_w rows `ts.middle` of the echelon basis of H are moved through
-    the word by `act_on_rows`, and the moved rows are read in the source
-    flag basis by `TupleSpaces.w_coordinates`; for words that move the tuple
-    the result is in the source flag coordinates.  With verify=True the
-    basis rows of H and E are moved along and the stability of the cocycle
-    and coboundary spaces is checked exactly.
+    The dim_w rows `ts.middle` of the echelon basis of H, held by ts as
+    integer numerators, are moved through the word, and the moved rows are
+    read in the source flag basis by `TupleSpaces.w_coordinates`; for words
+    that move the tuple the result is in the source flag coordinates.  With
+    verify=True the basis rows of H and E are moved along and the stability
+    of the cocycle and coboundary spaces is checked exactly.
     """
-    rows = [list(ts.H.basis.entries[j]) for j in ts.middle]
-    checked = [list(row) for row in ts.H.basis.entries + ts.E.basis.entries] if verify else []
-    target = act_on_rows(ts.g, word, rows + checked)
+    start, letters, h = ts.start, _word_letters(word, ts.r), ts.H.basis.entries
+    slots, den = start.slots([*(h[j] for j in ts.middle), *h, *ts.E.basis.entries]) if verify else ts.moving
+    moving = [list(slots), den] if slots else None
+    target = tuple(map(start.matrix, start.move(letters, moving)))
+    moved = start.rows(*moving) if moving else []
     if verify:
-        _verify_stability(ts, checked, target)
-    return ts.w_coordinates(rows), target
+        _verify_stability(ts, moved[ts.dim_w :], target)
+    return ts.w_coordinates(moved[: ts.dim_w]), target
 
 
 def _verify_stability(ts: TupleSpaces, moved: list[list[FieldElement]], target: Sequence[Matrix]):

@@ -260,12 +260,7 @@ class FieldSpec:
                         conv[k] += u * v
                         k += 1
                 i += 1
-        nums = conv[:d]
-        for e in range(d, 2 * d - 1):
-            c = conv[e]
-            if c:
-                nums = [u + c * t for u, t in zip(nums, powers[e % len(powers)])]
-        return _reduced(self, nums, den)
+        return _reduced(self, _fold(powers, conv), den)
 
 
 def _reduced(spec: FieldSpec, nums, den: int) -> "FieldElement":
@@ -291,14 +286,19 @@ def _in_basis(powers: tuple[tuple[int, ...], ...], coeffs, k: int = 1) -> list[i
 
 def _times(powers: tuple[tuple[int, ...], ...], a, b) -> list[int]:
     # The product of two integer coefficient vectors in the power basis.
-    d, m = len(a), len(powers)
-    conv = [0] * (2 * d - 1)
+    conv = [0] * (2 * len(a) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                conv[i + j] += x * y
+            for j, y in enumerate(b, i):
+                conv[j] += x * y
+    return _fold(powers, conv)
+
+
+def _fold(powers: tuple[tuple[int, ...], ...], conv: list[int]) -> list[int]:
+    # A convolution of 2d - 1 coefficients reduced to d by the z^e table.
+    d, m = len(powers[0]), len(powers)
     out = conv[:d]
-    for e in range(d, 2 * d - 1):
+    for e in range(d, len(conv)):
         c = conv[e]
         if c:
             out = [u + c * t for u, t in zip(out, powers[e % m])]

@@ -17,6 +17,7 @@ identical representations.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect
 from typing import Iterable, Sequence
 
@@ -91,16 +92,7 @@ class Matrix:
         return self.rows == self.cols
 
     def is_identity(self) -> bool:
-        if not self.is_square():
-            return False
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                if i == j:
-                    if not e.is_one():
-                        return False
-                elif not e.is_zero():
-                    return False
-        return True
+        return self.is_square() and self == Matrix.identity(self.spec, self.rows)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -112,28 +104,18 @@ class Matrix:
             raise FieldMismatch("matrices over different fields")
 
     def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_spec(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
-        return Matrix(
-            self.spec,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-            cols=self.cols,
-        )
+        return self._entrywise(other, "+", operator.add)
 
     def __sub__(self, other):
+        return self._entrywise(other, "-", operator.sub)
+
+    def _entrywise(self, other, symbol: str, op):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_spec(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch(f"{self.rows}x{self.cols} - {other.rows}x{other.cols}")
-        return Matrix(
-            self.spec,
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-            cols=self.cols,
-        )
+            raise ShapeMismatch(f"{self.rows}x{self.cols} {symbol} {other.rows}x{other.cols}")
+        return Matrix(self.spec, tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)), cols=self.cols)
 
     def __neg__(self):
         return Matrix(self.spec, tuple(tuple(-a for a in row) for row in self.entries), cols=self.cols)
@@ -259,33 +241,26 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
-    if not mats:
-        raise ShapeMismatch("hstack of nothing")
-    rows = mats[0].rows
-    spec = mats[0].spec
-    for m in mats:
-        if m.rows != rows:
-            raise ShapeMismatch("hstack with differing row counts")
-        if m.spec != spec:
-            raise FieldMismatch("hstack over different fields")
-    return Matrix(
-        spec,
-        tuple(tuple(e for m in mats for e in m.entries[i]) for i in range(rows)),
-        cols=sum(m.cols for m in mats),
-    )
+    rows = _stacked(mats, "hstack", "row counts", lambda m: m.rows)
+    entries = tuple(tuple(e for m in mats for e in m.entries[i]) for i in range(rows))
+    return Matrix(mats[0].spec, entries, cols=sum(m.cols for m in mats))
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
+    cols = _stacked(mats, "vstack", "column counts", lambda m: m.cols)
+    return Matrix(mats[0].spec, tuple(row for m in mats for row in m.entries), cols=cols)
+
+
+def _stacked(mats: Sequence[Matrix], name: str, what: str, size) -> int:
+    # the common size of a nonempty list of matrices over one field
     if not mats:
-        raise ShapeMismatch("vstack of nothing")
-    cols = mats[0].cols
-    spec = mats[0].spec
+        raise ShapeMismatch(f"{name} of nothing")
     for m in mats:
-        if m.cols != cols:
-            raise ShapeMismatch("vstack with differing column counts")
-        if m.spec != spec:
-            raise FieldMismatch("vstack over different fields")
-    return Matrix(spec, tuple(row for m in mats for row in m.entries), cols=cols)
+        if size(m) != size(mats[0]):
+            raise ShapeMismatch(f"{name} with differing {what}")
+        if m.spec != mats[0].spec:
+            raise FieldMismatch(f"{name} over different fields")
+    return size(mats[0])
 
 
 def square_tuple_shape(mats: Sequence[Matrix]) -> tuple[FieldSpec, int]:
@@ -337,13 +312,10 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def reduce_vector(self, vector: Sequence[FieldElement]) -> list[FieldElement]:
+    def contains_vector(self, vector: Sequence[FieldElement]) -> bool:
         if len(vector) != self.ambient_dim:
             raise AmbientMismatch(f"vector of length {len(vector)} in ambient {self.ambient_dim}")
-        return _reduce(self.basis.entries, self.pivots, vector)
-
-    def contains_vector(self, vector: Sequence[FieldElement]) -> bool:
-        return all(c.is_zero() for c in self.reduce_vector(vector))
+        return not any(_reduce(self.basis.entries, self.pivots, vector))
 
     def coordinates(self, vector: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         """Coordinates of a member vector in the echelon basis."""

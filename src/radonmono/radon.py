@@ -250,20 +250,17 @@ def parse_fundamental_data(doc: dict, source: str = "<input>") -> FundamentalDat
 
     fdoc = need("field", dict)
     kind = fdoc.get("kind")
-    if kind == "rational":
-        spec = FieldSpec.rational()
-    elif kind == "prime":
-        if not _is_int(fdoc.get("p")):
-            raise InputError(f"{source}: field.p must be an integer")
-        spec = FieldSpec.prime(fdoc["p"])
-    elif kind == "cyclotomic":
-        if not _is_int(fdoc.get("m")):
-            raise InputError(f"{source}: field.m must be an integer")
-        if fdoc["m"] > MAX_CONDUCTOR:
-            raise InputError(f"{source}: field.m must be at most {MAX_CONDUCTOR}, got {fdoc['m']}")
-        spec = FieldSpec.cyclotomic(fdoc["m"])
-    else:
+    if kind not in ("rational", "prime", "cyclotomic"):
         raise InputError(f"{source}: field.kind must be rational, prime or cyclotomic")
+    key = {"prime": "p", "cyclotomic": "m"}.get(kind)
+    if key and not _is_int(fdoc.get(key)):
+        raise InputError(f"{source}: field.{key} must be an integer")
+    if key == "m" and fdoc["m"] > MAX_CONDUCTOR:
+        raise InputError(f"{source}: field.m must be at most {MAX_CONDUCTOR}, got {fdoc['m']}")
+    try:
+        spec = getattr(FieldSpec, kind)(*([fdoc[key]] if key else []))  # rational(), prime(p) or cyclotomic(m)
+    except InputError as exc:  # a modulus that is not prime, a conductor below 1
+        raise InputError(f"{source}: {exc}") from None
 
     n = need("n", int)
     r = need("r", int)
@@ -306,7 +303,7 @@ def parse_fundamental_data(doc: dict, source: str = "<input>") -> FundamentalDat
                     f"{source}: {key}[{bi}] must be a braid string or an integer array"
                 )
             try:
-                expr = parse_braid(item, strands) if isinstance(item, str) else word_from_letters(item, strands)[0]
+                expr = parse_braid(item, strands) if isinstance(item, str) else word_from_letters(item, strands)
                 check_length(expr)
             except InputError as exc:
                 raise InputError(f"{source}: {key}[{bi}]: {exc}") from None

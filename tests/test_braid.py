@@ -184,3 +184,10 @@ def test_word_validation():
         act_on_tuple(g, BraidWord(4, (1,)))
     with pytest.raises(StrandOutOfRange):
         act_on_tuple(g, [5])
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.rational(), GF7, FieldSpec.cyclotomic(6)], ids=lambda s: s.label())
+def test_action_on_zero_by_zero_tuples(spec):
+    # `check` acts with its relations on the output tuple, 0 x 0 when dim W = 0
+    g = (Matrix(spec, (), cols=0),) * 3
+    assert act_on_tuple(g, [1, -2, 2, -1]) == g

@@ -14,6 +14,7 @@ matrix arithmetic.
 """
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -36,9 +37,16 @@ def _random_entry(rng, spec):
     return spec.from_int(rng.randint(-4, 4))
 
 
-def _random_invertible(rng, spec, n):
+def _fraction_entry(rng, spec):
+    # c/q with q in {1, 2, 3}; over GF(p) a residue of any size
+    if spec.kind == "prime":
+        return spec.from_int(rng.randrange(spec.p))
+    return spec.element([Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(spec.degree)])
+
+
+def _random_invertible(rng, spec, n, entry=_random_entry):
     while True:
-        m = Matrix.from_rows(spec, [[_random_entry(rng, spec) for _ in range(n)] for _ in range(n)])
+        m = Matrix.from_rows(spec, [[entry(rng, spec) for _ in range(n)] for _ in range(n)])
         try:
             m.inverse()
             return m
@@ -88,8 +96,8 @@ def fox_value(word, g, g_inv, blocks, spec, n):
     return acc
 
 
-def _random_rows(rng, g, nrows=2):
-    return [[_random_entry(rng, g[0].spec) for _ in range(g[0].rows * len(g))] for _ in range(nrows)]
+def _random_rows(rng, g, nrows=2, entry=_random_entry):
+    return [[entry(rng, g[0].spec) for _ in range(g[0].rows * len(g))] for _ in range(nrows)]
 
 
 def check_against_oracle(g, letters, rows):
@@ -158,3 +166,19 @@ def test_action_matches_oracle_on_sparse_rows(spec):
         for row in untouched:
             row[n * (a - 1) : n * (a + 1)] = [spec.zero()] * (2 * n)
         check_against_oracle(g, letters, units + untouched)
+
+
+@pytest.mark.parametrize(
+    "spec", [FieldSpec.rational(), FieldSpec.cyclotomic(6), FieldSpec.prime(2**61 - 1)], ids=lambda s: s.label()
+)
+def test_action_matches_oracle_with_denominators_and_large_residues(spec):
+    # denominators in the tuple and in the rows, so that letters carry a
+    # denominator and the rows are rescaled; over GF(2^61 - 1) residues of
+    # full size
+    rng = random.Random(61)
+    for _ in range(10):
+        n, r = rng.randint(1, 3), rng.randint(2, 5)
+        g = tuple(_random_invertible(rng, spec, n, _fraction_entry) for _ in range(r))
+        alphabet = [i for i in range(-(r - 1), r) if i]
+        letters = [rng.choice(alphabet) for _ in range(rng.randint(1, 8))]
+        check_against_oracle(g, letters, _random_rows(rng, g, 3, _fraction_entry))

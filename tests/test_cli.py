@@ -232,6 +232,22 @@ def test_strong_pseudoprime_modulus_exits_2(tmp_path, capsys, p):
         assert err.count("\n") == 1 and err.startswith("error: ") and str(p) in err
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"kind": "prime", "p": 6}, "prime field needs a prime modulus, got 6"),
+        ({"kind": "cyclotomic", "m": 0}, "cyclotomic field needs a conductor >= 1, got 0"),
+    ],
+    ids=["p6", "m0"],
+)
+def test_bad_field_names_the_input_file(tmp_path, capsys, four_lines_doc, field, message):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({**four_lines_doc, "field": field}))
+    for command in ("compute", "rank", "check", "group"):
+        code, out, err = _exit_and_stderr(capsys, [command, "--input", str(path)])
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_group_on_the_zero_module_prints_null_moving_keys(tmp_path, capsys):
     # n = 1, r = 2, g = (z, z^2) over Q(zeta_3) has dim W = 0
     doc = {"field": {"kind": "cyclotomic", "m": 3}, "n": 1, "r": 2, "braids": ["b1^2", "b1"]}
@@ -278,6 +294,28 @@ def test_compute_over_a_large_conductor_matches_q(tmp_path, capsys, four_lines_d
     assert time.perf_counter() - started < 5.0
     over_q = _exit_and_stderr(capsys, ["compute", "--input", fixture_path("four_lines")])
     assert over_z2999 == over_q and over_q[0] == 0
+
+
+# Runs `compute` as its one child and prints that child's peak RSS in MB.
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "radonmono", *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(peak / 2**20 if sys.platform == "darwin" else peak / 2**10)
+"""
+
+
+def test_compute_over_a_large_conductor_stays_small(tmp_path, four_lines_doc):
+    # the z^e table of Q(zeta_2999) takes most of the 85-130 MB this reads (the
+    # heap's layout moves it); an entry expanded into its phi(m) x phi(m)
+    # multiplication matrix would add hundreds of MB
+    path = tmp_path / "z2999.json"
+    path.write_text(json.dumps({**four_lines_doc, "field": {"kind": "cyclotomic", "m": 2999}}))
+    wrapper = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "compute", "--input", str(path)], capture_output=True, text=True, check=True
+    )
+    assert float(wrapper.stdout) < 150
+
 
 def test_long_braid_word_exits_2(tmp_path, capsys, four_lines_doc):
     path = tmp_path / "long.json"
