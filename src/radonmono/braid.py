@@ -25,7 +25,7 @@ from operator import mul
 from typing import Sequence, Union
 
 from .errors import InputError, ParseError, ShapeMismatch, StrandOutOfRange
-from .field import FieldElement, _fold, _reduced, _Scanner
+from .field import FieldElement, _reduced, _Scanner
 from .linalg import Matrix
 
 __all__ = [
@@ -212,13 +212,14 @@ class _Numerators:
     over GF(p), one integer over Q.  A k x c matrix is its c*d slots, slot
     (j, e) the list of coefficient e down column j, over one denominator (1
     over GF(p)).  A product adds each slot of the left factor times the right
-    factor's coefficients into a convolution, folds it by the z^e table,
-    reduces it modulo p, and takes one gcd when the denominator is not 1.
+    factor's coefficients into a convolution, folds it by the nonzero terms
+    of z^d modulo the cyclotomic polynomial, reduces it modulo p, and takes
+    one gcd when the denominator is not 1.
     """
 
     def __init__(self, g: Sequence[Matrix]):
         spec = g[0].spec
-        self.spec, self.n, self.d, self.p, self.powers = spec, g[0].rows, spec.degree, spec.p, spec._powers
+        self.spec, self.n, self.p, (self.d, self.terms) = spec, g[0].rows, spec.p, spec._reduction
         self.gs = [self.slots(m.entries) for m in g]
 
     def slots(self, rows: Sequence[Sequence[FieldElement]]) -> tuple[list[list[int]], int]:
@@ -253,7 +254,7 @@ class _Numerators:
 
     def _times(self, xs: list[list[int]], ys: list[list[int]]) -> list[list[int]]:
         # the slots of X * Y from those of X and Y, numerators only
-        d, p, powers, size = self.d, self.p, self.powers, len(xs[0]) if xs else 0
+        d, p, terms, size = self.d, self.p, self.terms, len(xs[0]) if xs else 0
         live = [[(e, xs[t + e]) for e in range(d) if any(xs[t + e])] for t in range(0, len(xs), d)]
         out = []
         for j in range(0, len(ys), d):
@@ -263,11 +264,10 @@ class _Numerators:
                     if b:
                         for e, x in live[t]:
                             conv[e + f] = _axpy(conv[e + f], b, x)
-            for e in range(d, 2 * d - 1):
-                if conv[e] is not None:
-                    for k, b in enumerate(powers[e % len(powers)]):
-                        if b:
-                            conv[k] = _axpy(conv[k], b, conv[e])
+            for s in range(d - 2, -1, -1):  # top down: z^(s + d) = sum of c * z^(s + k), (k, c) in terms
+                if conv[s + d] is not None:
+                    for k, c in terms:
+                        conv[s + k] = _axpy(conv[s + k], c, conv[s + d])
             out += ([0] * size if acc is None else [c % p for c in acc] if p else acc for acc in conv[:d])
         return out
 
@@ -380,7 +380,7 @@ class _BraidScanner(_Scanner):
         ch = self.peek()
         if ch is None:
             raise ParseError("dangling '^'", self.pos)
-        if ch in "+-" or ch.isdigit():
+        if ch in "+-" or ch.isdecimal():
             return Power(base, self.signed_integer())
         if ch in "b(":
             return Conjugate(base, self.atom())

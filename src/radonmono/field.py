@@ -3,9 +3,9 @@
 An element of GF(p) is a single residue in [0, p).  An element of Q(zeta_m)
 of degree d = phi(m) is a tuple of d integer numerators over one positive
 denominator, (c_0 + c_1*z + ... + c_{d-1}*z^(d-1)) / den, with
-gcd(den, c_0, ..., c_{d-1}) = 1; Q is the case m = 1, d = 1.  One cached
-integer table of z^e for e < m, reduced modulo the m-th cyclotomic
-polynomial, serves multiplication and the reduction of longer inputs; the
+gcd(den, c_0, ..., c_{d-1}) = 1; Q is the case m = 1, d = 1.  Products and
+longer inputs are reduced modulo the m-th cyclotomic polynomial, which is
+monic, by the nonzero terms of z^d = sum(c_j * z^j), cached per field; the
 inverse is the product of the other Galois conjugates over the norm.  The
 form is canonical, so structural equality doubles as field equality and
 elements hash exactly.  No floating point is used anywhere.
@@ -26,9 +26,11 @@ __all__ = [
     "parse_element",
     "format_element",
     "cyclotomic_polynomial",
-    "totient",
     "is_prime",
 ]
+
+# The longest digit run of a literal; Python 3.11+ refuses int() of a longer one by default.
+MAX_DIGITS = 4300
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to all of _MR_BASES (Sorenson and Webster, Math. Comp. 2017)
@@ -71,17 +73,6 @@ def _factorize(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
-
-
-@lru_cache(maxsize=None)
-def totient(m: int) -> int:
-    """Euler's phi function."""
-    if m < 1:
-        raise InputError(f"totient undefined for {m}")
-    result = m
-    for q in _factorize(m):
-        result = result // q * (q - 1)
-    return result
 
 
 def _polydiv_int_exact(num: list[int], den: list[int]) -> list[int]:
@@ -153,7 +144,7 @@ class FieldSpec:
 
     @property
     def degree(self) -> int:
-        return totient(self.m) if self.kind == "cyclotomic" else 1
+        return self._reduction[0]
 
     @property
     def characteristic(self) -> int:
@@ -167,22 +158,12 @@ class FieldSpec:
         return f"Q(zeta_{self.m})"
 
     @cached_property
-    def _powers(self) -> tuple[tuple[int, ...], ...]:
-        """z^e for e = 0..m-1 in the power basis 1, z, ..., z^(d-1).
-
-        Q is the case m = 1 (one row, z = 1); the rows are integers because
-        the cyclotomic polynomial is monic.
-        """
+    def _reduction(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """d = phi(m) and the nonzero terms (j, c_j) of z^d = sum(c_j * z^j), j < d,
+        modulo the monic Phi_m; Q and GF(p) are the case m = 1 (z = 1)."""
         phi = cyclotomic_polynomial(self.m or 1)
-        row = [1] + [0] * (len(phi) - 2)
-        rows = []
-        for _ in range(self.m or 1):
-            rows.append(tuple(row))
-            top = row[-1]
-            row = [0] + row[:-1]
-            if top:
-                row = [c - top * f for c, f in zip(row, phi)]
-        return tuple(rows)
+        d = len(phi) - 1
+        return d, tuple((j, -c) for j, c in enumerate(phi[:d]) if c)
 
     # -- element constructors -------------------------------------------------
 
@@ -212,7 +193,7 @@ class FieldSpec:
         """The element c_0 + c_1*z + c_2*z^2 + ... for rational coefficients c_e.
 
         Q and GF(p) take exactly one coefficient.  Cyclotomic vectors of any
-        length are reduced by the z^e table.
+        length are reduced modulo the cyclotomic polynomial.
         """
         vals = [v if isinstance(v, int) else Fraction(v) for v in values]
         if self.m is None and len(vals) != 1:
@@ -223,7 +204,7 @@ class FieldSpec:
                 raise NotInField(f"{v} has no image in {self.label()}")
             return FieldElement(self, (v.numerator * pow(v.denominator, -1, self.p) % self.p,))
         den = lcm(*(v.denominator for v in vals))
-        nums = _in_basis(self._powers, [v.numerator * (den // v.denominator) for v in vals])
+        nums = _in_basis(self, [v.numerator * (den // v.denominator) for v in vals])
         return _reduced(self, nums, den)
 
     def dot(self, xs, ys) -> "FieldElement":
@@ -231,13 +212,12 @@ class FieldSpec:
 
         Over GF(p) this is one modulo.  In characteristic 0 the integer
         convolutions of the numerators are summed over a running common
-        denominator, then reduced by the z^e table and the gcd once.
+        denominator, then reduced once modulo Phi_m and once by the gcd.
         """
         if self.kind == "prime":
             return FieldElement(self, (sum(x.coeffs[0] * y.coeffs[0] for x, y in zip(xs, ys)) % self.p,))
-        powers = self._powers
-        d = len(powers[0])
-        conv = [0] * (2 * d - 1)
+        reduction = self._reduction
+        conv = [0] * (2 * reduction[0] - 1)
         den = 1
         zero = self._zero_one[0].coeffs  # canonical, so every zero element has exactly these
         for x, y in zip(xs, ys):
@@ -260,7 +240,7 @@ class FieldSpec:
                         conv[k] += u * v
                         k += 1
                 i += 1
-        return _reduced(self, _fold(powers, conv), den)
+        return _reduced(self, _fold(reduction, conv), den)
 
 
 def _reduced(spec: FieldSpec, nums, den: int) -> "FieldElement":
@@ -274,35 +254,36 @@ def _reduced(spec: FieldSpec, nums, den: int) -> "FieldElement":
     return FieldElement(spec, tuple(nums), den)
 
 
-def _in_basis(powers: tuple[tuple[int, ...], ...], coeffs, k: int = 1) -> list[int]:
-    # sum(coeffs[e] * z^(k*e)) in the power basis, read off the z^e table.
-    m = len(powers)
-    out = [0] * len(powers[0])
+def _in_basis(spec: FieldSpec, coeffs, k: int = 1) -> list[int]:
+    # sum(coeffs[e] * z^(k*e)) in the power basis: z^m = 1, so c_e goes to e*k mod m.
+    m = spec.m or 1
+    out = [0] * m
     for e, c in enumerate(coeffs):
         if c:
-            out = [u + c * t for u, t in zip(out, powers[e * k % m])]
-    return out
+            out[e * k % m] += c
+    return _fold(spec._reduction, out)
 
 
-def _times(powers: tuple[tuple[int, ...], ...], a, b) -> list[int]:
+def _times(reduction, a, b) -> list[int]:
     # The product of two integer coefficient vectors in the power basis.
     conv = [0] * (2 * len(a) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
                 conv[j] += x * y
-    return _fold(powers, conv)
+    return _fold(reduction, conv)
 
 
-def _fold(powers: tuple[tuple[int, ...], ...], conv: list[int]) -> list[int]:
-    # A convolution of 2d - 1 coefficients reduced to d by the z^e table.
-    d, m = len(powers[0]), len(powers)
-    out = conv[:d]
-    for e in range(d, len(conv)):
-        c = conv[e]
+def _fold(reduction, conv: list[int]) -> list[int]:
+    # conv reduced in place, from its top term down, to d terms: c * z^(s + d) -> sum(c * c_j * z^(s + j))
+    d, terms = reduction
+    for s in range(len(conv) - d - 1, -1, -1):
+        c = conv[s + d]
         if c:
-            out = [u + c * t for u, t in zip(out, powers[e % m])]
-    return out
+            for j, cj in terms:
+                conv[s + j] += c * cj
+    del conv[d:]
+    return conv
 
 
 class FieldElement:
@@ -387,7 +368,7 @@ class FieldElement:
         s = self.spec
         if s.kind == "prime":
             return FieldElement(s, ((self.coeffs[0] * o.coeffs[0]) % s.p,))
-        return _reduced(s, _times(s._powers, self.coeffs, o.coeffs), self.den * o.den)
+        return _reduced(s, _times(s._reduction, self.coeffs, o.coeffs), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -401,13 +382,12 @@ class FieldElement:
             return _reduced(s, [self.den] + [0] * (len(self.coeffs) - 1), self.coeffs[0])
         # With a = A/den, the product P of the other conjugates A(z^k),
         # gcd(k, m) = 1, makes A*P the rational norm N, so 1/a = den*P/N.
-        powers = s._powers
-        m = len(powers)
-        prod = list(powers[0])
+        reduction, m = s._reduction, s.m
+        prod = [1] + [0] * (len(self.coeffs) - 1)
         for k in range(2, m):
             if gcd(k, m) == 1:
-                prod = _times(powers, prod, _in_basis(powers, self.coeffs, k))
-        norm = _times(powers, self.coeffs, prod)[0]
+                prod = _times(reduction, prod, _in_basis(s, self.coeffs, k))
+        norm = _times(reduction, self.coeffs, prod)[0]
         return _reduced(s, [self.den * c for c in prod], norm)
 
     def __truediv__(self, other):
@@ -515,10 +495,12 @@ class _Scanner:
 
     def integer(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
+        if self.pos - start > MAX_DIGITS:
+            raise ParseError(f"integer of {self.pos - start} digits, more than the {MAX_DIGITS} allowed", start)
         return int(self.text[start : self.pos])
 
     def signed_integer(self) -> int:
@@ -571,7 +553,7 @@ def _parse_primary(sc: _Scanner, spec: FieldSpec) -> FieldElement:
     ch = sc.peek()
     if ch is None:
         raise ParseError("unexpected end of input", sc.pos)
-    if ch.isdigit():
+    if ch.isdecimal():
         start = sc.pos
         num = sc.integer()
         if sc.peek() == "/":

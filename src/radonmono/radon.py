@@ -226,7 +226,8 @@ def conjugacy_match(computed: Sequence[Matrix], target: Sequence[Matrix]) -> Mat
 # -- JSON interface -------------------------------------------------------------
 
 
-# Q(zeta_m) arithmetic builds an m x phi(m) table: at m = 2999, 0.3 s and 85 MB peak RSS.
+# The work per Q(zeta_m) entry and the conjugate-product inverse both grow with phi(m), and
+# building Phi_m alone takes up to 0.5 s below this bound (m = 2520 and 2730, best of 3).
 MAX_CONDUCTOR = 3000
 
 
@@ -327,6 +328,8 @@ def load_fundamental_data(path) -> FundamentalData:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
     except UnicodeDecodeError:
         raise InputError(f"{path}: not UTF-8 text") from None
+    except ValueError as exc:  # a JSON number that int() refuses, such as one over 4300 digits
+        raise InputError(f"{path}: {exc}") from None
     except OSError as exc:
         raise InputError(f"cannot read input file {path}: {exc.strerror}") from None
     return parse_fundamental_data(doc, source=str(path))

@@ -44,6 +44,10 @@ def _fraction_entry(rng, spec):
     return spec.element([Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(spec.degree)])
 
 
+def _monomial_entry(rng, spec, signs=(0, 1, -1)):
+    return rng.choice(signs) * spec.gen() ** rng.randrange(spec.m)
+
+
 def _random_invertible(rng, spec, n, entry=_random_entry):
     while True:
         m = Matrix.from_rows(spec, [[entry(rng, spec) for _ in range(n)] for _ in range(n)])
@@ -182,3 +186,23 @@ def test_action_matches_oracle_with_denominators_and_large_residues(spec):
         alphabet = [i for i in range(-(r - 1), r) if i]
         letters = [rng.choice(alphabet) for _ in range(rng.randint(1, 8))]
         check_against_oracle(g, letters, _random_rows(rng, g, 3, _fraction_entry))
+
+
+def test_action_matches_oracle_over_a_conductor_with_a_coefficient_2():
+    # Phi_105 has the coefficient -2 at z^7 and z^41, so the fold meets terms
+    # outside {-1, 0, 1} that no spec above has; products of monomials 0 or
+    # +-z^k reach every power of z.  Upper triangular entries with monomial
+    # diagonals invert through monomial inverses only, and the oracle's
+    # inverses are checked first: under a wrong fold, inverses with 800-digit
+    # coefficients made the action take more than a minute to fail.
+    spec, rng = FieldSpec.cyclotomic(105), random.Random(105)
+
+    def triangular():
+        corner = [_monomial_entry(rng, spec, (1, -1)) for _ in range(2)]
+        return Matrix.from_rows(spec, [[corner[0], _monomial_entry(rng, spec)], [spec.zero(), corner[1]]])
+
+    for _ in range(3):
+        g = (triangular(), triangular(), triangular())
+        assert all(m * m.inverse() == Matrix.identity(spec, 2) for m in g)
+        letters = [rng.choice((-2, -1, 1, 2)) for _ in range(6)]
+        check_against_oracle(g, letters, _random_rows(rng, g, entry=_monomial_entry))

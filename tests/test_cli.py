@@ -219,6 +219,34 @@ def test_conductor_bound_exits_2(tmp_path, capsys, monkeypatch, four_lines_doc, 
         assert (code, out, err) == (2, "", f"error: {path}: field.m must be at most 3000, got {m}\n")
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"matrices": [[["1" * 5000]]] + [[["-1"]]] * 3}, "matrices[0][0][0]: {long} (at position 0)"),
+        ({"braids": ["b1^" + "7" * 5000]}, "braids[0]: {long} (at position 3)"),
+        ({"braids": ["b" + "7" * 5000]}, "braids[0]: {long} (at position 1)"),
+        ({"matrices": [[["\u00b2"]]] + [[["-1"]]] * 3}, "matrices[0][0][0]: unexpected character '\u00b2' (at position 0)"),
+    ],
+    ids=["element", "braid-exponent", "braid-generator", "superscript-digit"],
+)
+def test_unreadable_integer_literal_exits_2(tmp_path, capsys, four_lines_doc, edit, message):
+    # int() refuses these digit runs: over 4300 digits (Python 3.11+), or a digit that is not decimal
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps({**four_lines_doc, **edit}))
+    message = message.format(long="integer of 5000 digits, more than the 4300 allowed")
+    for command in ("compute", "rank", "check", "group"):
+        assert _exit_and_stderr(capsys, [command, "--input", str(path)]) == (2, "", f"error: {path}: {message}\n")
+
+
+def test_over_long_json_number_exits_2(tmp_path, capsys, four_lines_doc):
+    # json.load raises a plain ValueError, not JSONDecodeError, where int() refuses the number
+    path = tmp_path / "n.json"
+    path.write_text(json.dumps(four_lines_doc).replace('"n": 1', '"n": ' + "1" * 5000))
+    for command in ("compute", "rank", "check", "group"):
+        code, out, err = _exit_and_stderr(capsys, [command, "--input", str(path)])
+        assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith(f"error: {path}: ")
+
+
 @pytest.mark.parametrize("p", [318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981])
 def test_strong_pseudoprime_modulus_exits_2(tmp_path, capsys, p):
     # the first is 399,165,290,221 x 798,330,580,441, so 1/399165290221 has no inverse
@@ -306,15 +334,16 @@ print(peak / 2**20 if sys.platform == "darwin" else peak / 2**10)
 
 
 def test_compute_over_a_large_conductor_stays_small(tmp_path, four_lines_doc):
-    # the z^e table of Q(zeta_2999) takes most of the 85-130 MB this reads (the
-    # heap's layout moves it); an entry expanded into its phi(m) x phi(m)
-    # multiplication matrix would add hundreds of MB
+    # the field keeps only d = phi(m) and the nonzero terms of Phi_m, so this
+    # reads about 24 MB; a table of z^e for every e < m would take 87-127 MB,
+    # and an entry expanded into its phi(m) x phi(m) multiplication matrix
+    # hundreds of MB
     path = tmp_path / "z2999.json"
     path.write_text(json.dumps({**four_lines_doc, "field": {"kind": "cyclotomic", "m": 2999}}))
     wrapper = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS, "compute", "--input", str(path)], capture_output=True, text=True, check=True
     )
-    assert float(wrapper.stdout) < 150
+    assert float(wrapper.stdout) < 50
 
 
 def test_long_braid_word_exits_2(tmp_path, capsys, four_lines_doc):

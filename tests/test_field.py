@@ -17,7 +17,6 @@ from radonmono.field import (
     cyclotomic_polynomial,
     format_element,
     parse_element,
-    totient,
 )
 
 
@@ -28,10 +27,6 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-
-
-def test_totient():
-    assert [totient(m) for m in (1, 2, 3, 4, 6, 12)] == [1, 1, 2, 2, 2, 4]
 
 
 def test_spec_validation():
@@ -165,7 +160,6 @@ def test_inverse_of_a_rational_element_makes_no_conjugate_products(monkeypatch):
     # in Q(zeta_2999) the norm route would take phi(2999) - 1 = 2997 products
     spec = FieldSpec.cyclotomic(2999)
     two, neg = spec.from_int(2), spec.from_fraction(Fraction(-3, 7))
-    spec._powers  # the table, built before counting
     calls = []
     times = field._times
 
@@ -201,7 +195,8 @@ def test_degree_one_cyclotomic_fields():
 
 # -- differential against sympy and the canonical form --------------------------
 
-DIFFERENTIAL_CONDUCTORS = [3, 4, 5, 7, 8, 9, 12]
+# Phi_105 is the first cyclotomic polynomial with a coefficient outside {-1, 0, 1}
+DIFFERENTIAL_CONDUCTORS = [3, 4, 5, 7, 8, 9, 12, 105]
 
 
 def _fraction_vector(rng, length):
@@ -223,7 +218,7 @@ def test_cyclotomic_arithmetic_against_sympy(m):
         return sympy.Poly([sympy.Rational(c, el.den) for c in reversed(el.coeffs)], z, domain="QQ")
 
     rng = random.Random(7000 + m)
-    for _ in range(25):
+    for sample in range(25):
         va, vb = _fraction_vector(rng, spec.degree), _fraction_vector(rng, spec.degree)
         a, b = spec.element(va), spec.element(vb)
         pa, pb = poly(va), poly(vb)
@@ -232,7 +227,9 @@ def test_cyclotomic_arithmetic_against_sympy(m):
         assert as_poly(a + b) == pa + pb
         assert as_poly(a - b) == pa - pb
         if not a.is_zero():
-            assert as_poly(a.inverse()) == sympy.invert(pa, phi)
+            assert (a * a.inverse()).is_one()
+            if m < 100 or sample < 2:  # sympy.invert takes over a second per element at m = 105
+                assert as_poly(a.inverse()) == sympy.invert(pa, phi)
         long = _fraction_vector(rng, rng.randint(spec.degree + 1, 3 * m))
         assert as_poly(spec.element(long)) == poly(long).rem(phi)
 
