@@ -75,31 +75,32 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def _polydiv_int_exact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials, den monic; remainder must vanish.
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + dd]
-        out[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    if any(num):
-        raise InputError("inexact polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, constant term first."""
+    """Coefficients of the m-th cyclotomic polynomial, constant term first.
+
+    Phi_m is the product of (z^d - 1)^mu(m/d) over the divisors d of m, the
+    Moebius inversion of z^m - 1 = prod Phi_d.  The factors with mu = 1 are
+    multiplied in first, then those with mu = -1 divided out exactly, each
+    in one pass over the coefficients.
+    """
     if m < 1:
         raise InputError(f"conductor must be >= 1, got {m}")
-    poly = [-1] + [0] * (m - 1) + [1]  # z^m - 1
-    for d in range(1, m):
+    mu = {}
+    for d in range(1, m + 1):
         if m % d == 0:
-            poly = _polydiv_int_exact(poly, list(cyclotomic_polynomial(d)))
+            exponents = _factorize(m // d).values()
+            if all(e == 1 for e in exponents):
+                mu[d] = (-1) ** len(exponents)
+    poly = [1]
+    for d in [d for d, sign in mu.items() if sign == 1]:  # times z^d - 1
+        poly = [0] * d + poly
+        for i in range(len(poly) - d):
+            poly[i] -= poly[i + d]
+    for d in [d for d, sign in mu.items() if sign == -1]:  # q (z^d - 1) = poly: q_i = q_(i-d) - poly_i
+        poly = [-c for c in poly[: len(poly) - d]]
+        for i in range(d, len(poly)):
+            poly[i] += poly[i - d]
     return tuple(poly)
 
 

@@ -1,18 +1,24 @@
 """Finite matrix group analysis: closure, derived series, spinning, scalars.
 
 Two engines compute group orders.  The exact path (`closure`, the `--exact`
-command) enumerates every element breadth-first with `Matrix` arithmetic
-over any FieldSpec and holds each once, in a set of exact matrices hashed by
-their entries: `closure` returns that `_Enumeration` itself, which
-`derived_series` continues and `contains_scalar` reads.  The modular path
-keeps no element list: `chain.StabilizerChain` is a stabilizer chain of the
-group mod p, built by deterministic Schreier-Sims with numpy.  Both offer
-`add(word)`: it extends the group by the product of a word of (x, x^-1)
-pairs, a member changing nothing, and forms the inverse from the word only
-for a new element.  So one derived series grows each derived subgroup in
-place, and no engine inverts a matrix: the generators come with the inverses
-`MatrixGroupGen` computed.  Both raise CapExceeded exactly when the order
-exceeds the cap; that exception is the only way either reports the cap.
+command) enumerates every element breadth-first through the group's action
+on the row vectors it meets (Seress, *Permutation Group Algorithms*, 2003),
+over any FieldSpec.  Each distinct exact row gets an id, an element is the
+tuple of the ids of its rows, and a generator is a map of row ids, filled by
+one exact `Matrix` product per batch of new rows.  So an element times a
+generator is one lookup per row, field arithmetic is done once per distinct
+row and generator, and the derived series, whose words act by composed and
+inverted maps, does none.  `closure` returns that `_Enumeration` itself,
+which `derived_series` continues and `contains_scalar` reads.  The modular
+path keeps no element list: `chain.StabilizerChain` is a stabilizer chain of
+the group mod p, built by deterministic Schreier-Sims with numpy.  Both
+offer `add(word)`: it extends the group by the product of a word of
+(x, x^-1) pairs, a member changing nothing.  So one derived series grows
+each derived subgroup in place, and no engine inverts a matrix: the chain
+forms the inverse of a new element from the inverses `MatrixGroupGen`
+computed, and the enumeration inverts the row map of a complete group.
+Both raise CapExceeded exactly when the order exceeds the cap; that
+exception is the only way either reports the cap.
 
 For cyclotomic or rational generators the modular path maps the root of unity
 to an element of the same order in GF(p) for an odd prime p = 1 mod m,
@@ -45,7 +51,6 @@ from .linalg import (
     image,
     intertwiner_space,
     kernel,
-    product_of,
     square_tuple_shape,
     subspace_sum,
     vstack,
@@ -111,52 +116,153 @@ def _as_generators(gens) -> MatrixGroupGen:
 # (x, x^-1) pairs, so one derived series serves both and inverts nothing.
 
 
+class _Rows:
+    """The distinct exact row vectors an enumeration and its subgroups meet, numbered
+    in the order met; `identity` holds the ids of the identity's rows.
+
+    A row is stored as one flat tuple of integers, the denominators of its
+    entries followed by their numerators, which hashes and compares without
+    field arithmetic and holds no FieldElement.
+    """
+
+    def __init__(self, spec: FieldSpec, degree: int):
+        self.spec, self.degree = spec, degree
+        self.keys: list[tuple[int, ...]] = []
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.identity = tuple(map(self.id, Matrix.identity(spec, degree).entries))
+
+    @staticmethod
+    def key(row: Sequence[FieldElement]) -> tuple[int, ...]:
+        flat = [e.den for e in row]
+        for e in row:
+            flat += e.coeffs
+        return tuple(flat)
+
+    def id(self, row: Sequence[FieldElement]) -> int:
+        key = self.key(row)
+        new = len(self.keys)
+        found = self.ids.setdefault(key, new)
+        if found == new:
+            self.keys.append(key)
+        return found
+
+    def matrix(self, ids: Sequence[int]) -> Matrix:
+        """The rows with these ids, as an exact matrix."""
+        spec, d, k = self.spec, self.degree, self.spec.degree
+        starts = list(enumerate(range(d, d + d * k, k)))  # (entry, its first numerator)
+        rows = []
+        for r in ids:
+            key = self.keys[r]
+            rows.append(tuple([FieldElement(spec, key[j : j + k], key[i]) for i, j in starts]))
+        return Matrix(spec, tuple(rows), cols=d)
+
+
+class _Action:
+    """A group element g as a map of row ids: `images[r]` is the id of row r times g.
+
+    The map is filled lazily, for a prefix of the ids, from one of three
+    sources: an input generator's `matrix`, by one exact product per batch of
+    rows; a word's `letters`, by composing their maps; or the map it inverts,
+    `inverse_of`, which must then permute the whole row table.
+    """
+
+    __slots__ = ("matrix", "letters", "inverse_of", "images")
+
+    def __init__(self, matrix: Matrix | None = None, letters=(), inverse_of: "_Action | None" = None):
+        self.matrix, self.letters, self.inverse_of = matrix, letters, inverse_of
+        self.images: list[int] = []
+
+    def cover(self, rows: _Rows, n: int) -> list[int]:
+        """`images`, filled at least for the ids below n."""
+        images = self.images
+        start = len(images)
+        if start >= n:
+            return images
+        if self.matrix is not None:
+            block = rows.matrix(range(start, n)) * self.matrix
+            images += map(rows.id, block.entries)
+        elif self.inverse_of is not None:
+            size = len(rows.keys)
+            forward = self.inverse_of.cover(rows, size)
+            assert len(forward) == len(rows.keys) == size, "the row table is not closed under the group"
+            images += [-1] * size
+            for r, s in enumerate(forward):
+                images[s] = r
+            assert -1 not in images, "the action is not a permutation of the rows"
+        else:
+            ids = range(start, n)
+            for x in self.letters:
+                step = x.cover(rows, max(ids) + 1)
+                ids = [step[r] for r in ids]
+            images += ids
+        return images
+
+
 class _Enumeration:
     """All elements of the group generated by everything passed to `add`.
 
-    Exact `Matrix` arithmetic over the generators' field: `elements` is the
-    set of the `order` elements, exact matrices hashed by their entries.
-    `gens` holds only the generators that enlarged the group, and `inverses`
-    their inverses; it starts from (g, g^-1) `pairs`.  More than `cap`
-    elements raise CapExceeded.
+    An element g is the tuple of the ids of its rows e_i g in a `_Rows`
+    table shared with the subgroups `trivial` makes, so g times a generator
+    is one lookup per row in the generator's `_Action`, and field arithmetic
+    is done once per distinct row and generator.  `members` is the set of
+    the `order` elements; `elements` builds them as exact matrices on
+    request.  `gens` holds the maps of the generators that enlarged the
+    group, and `inverses` their inverse maps.  More than `cap` elements
+    raise CapExceeded.
     """
 
-    def __init__(self, spec: FieldSpec, degree: int, cap: int, pairs=()):
-        self.spec, self.degree, self.cap = spec, degree, cap
-        self.elements = {Matrix.identity(spec, degree)}
-        self.gens: list[Matrix] = []
-        self.inverses: list[Matrix] = []
-        for pair in pairs:
-            self.add([pair])
+    def __init__(self, rows: _Rows, cap: int):
+        self.rows, self.cap = rows, cap
+        self.members = {rows.identity}
+        self.gens: list[_Action] = []
+        self.inverses: list[_Action] = []
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.members)
+
+    @property
+    def elements(self) -> set[Matrix]:
+        return {self.rows.matrix(g) for g in self.members}
+
+    def __contains__(self, mat: Matrix) -> bool:
+        rows = self.rows
+        return tuple(rows.ids.get(rows.key(row)) for row in mat.entries) in self.members
 
     def trivial(self) -> "_Enumeration":
-        return _Enumeration(self.spec, self.degree, self.cap)
+        return _Enumeration(self.rows, self.cap)
 
     def add(self, word) -> None:
         """Extend the group by g, the product of a word of (x, x^-1) pairs; a member changes nothing.
 
-        g^-1 is the reversed product of the inverses.  Every old element
-        times g seeds the search, and only the new elements it finds are
-        multiplied by all generators, so no old product is redone.
+        Only the maps x are read: the inverse of a new generator is its map
+        inverted, once the group is complete.  Every old element times g
+        seeds the search, and only the new elements it finds are multiplied
+        by all generators, so no old product is redone.
         """
-        g = product_of([x for x, _ in word])
-        if g in self.elements:
+        rows, members = self.rows, self.members
+        letters = [x for x, _ in word]
+        g = rows.identity
+        for x in letters:
+            images = x.cover(rows, max(g, default=-1) + 1)
+            g = tuple([images[r] for r in g])
+        if g in members:
             return
-        self.inverses.append(product_of([x_inv for _, x_inv in reversed(word)]))
-        self.gens.append(g)
-        frontier, step = list(self.elements), [g]
+        gen = letters[0] if len(letters) == 1 else _Action(letters=letters)
+        self.gens.append(gen)
+        self.inverses.append(_Action(inverse_of=gen))
+        frontier, step = list(members), [gen]
         while True:
-            found = []
+            # A row is first met as a row of a new element, so the frontier's
+            # rows all have ids below `bound`, and the maps need no more.
+            found, bound = [], len(rows.keys)
             for gen in step:
+                images = gen.cover(rows, bound)
                 for el in frontier:
-                    prod = el * gen
-                    size = len(self.elements)
-                    self.elements.add(prod)  # hashes prod once; a member leaves the size
-                    if len(self.elements) == size:
+                    prod = tuple([images[r] for r in el])
+                    size = len(members)
+                    members.add(prod)  # hashes prod once; a member leaves the size
+                    if len(members) == size:
                         continue
                     if size >= self.cap:
                         raise CapExceeded(f"group enumeration exceeded the cap of {self.cap}")
@@ -196,12 +302,15 @@ def closure(gens, cap: int = DEFAULT_CAP) -> _Enumeration:
     group = _as_generators(gens)
     if cap < 1:
         raise CapExceeded("cap must be >= 1")
-    return _Enumeration(group.spec, group.degree, cap, zip(group.generators, group.inverses))
+    enum = _Enumeration(_Rows(group.spec, group.degree), cap)
+    for g in group.generators:
+        enum.add([(_Action(matrix=g), None)])
+    return enum
 
 
 def contains_scalar(group: _Enumeration, lam: FieldElement) -> bool:
     """True when lambda * identity is an element of a `closure` result."""
-    return Matrix.diagonal(lam.spec, [lam] * group.degree) in group.elements
+    return Matrix.diagonal(lam.spec, [lam] * group.rows.degree) in group
 
 
 def derived_series(gens, cap: int = DEFAULT_CAP) -> list[int]:

@@ -127,11 +127,12 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} * {other.rows}x{other.cols}")
         # One normalised dot product per entry; a 0-row `other` has `cols` empty columns.
+        # Rows are built from lists, which CPython turns into tuples of their final size.
         columns = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
         dot = self.spec.dot
         return Matrix(
             self.spec,
-            tuple(tuple(dot(row, col) for col in columns) for row in self.entries),
+            tuple([tuple([dot(row, col) for col in columns]) for row in self.entries]),
             cols=other.cols,
         )
 
@@ -242,7 +243,7 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     rows = _stacked(mats, "hstack", "row counts", lambda m: m.rows)
-    entries = tuple(tuple(e for m in mats for e in m.entries[i]) for i in range(rows))
+    entries = tuple([tuple([e for m in mats for e in m.entries[i]]) for i in range(rows)])
     return Matrix(mats[0].spec, entries, cols=sum(m.cols for m in mats))
 
 
@@ -417,7 +418,7 @@ def intertwiner_space(tuple_a: Sequence[Matrix], tuple_b: Sequence[Matrix]) -> S
         conditions = []
         for row in space.basis.entries:
             t = matrix_from_flat(spec, row, d)
-            conditions.append(tuple(e for r in (t * b - a * t).entries for e in r))
+            conditions.append(tuple([e for r in (t * b - a * t).entries for e in r]))
         coeffs = kernel(Matrix(spec, tuple(conditions), cols=n))
         if coeffs.dim < space.dim:
             pivots = tuple(space.pivots[i] for i in coeffs.pivots)

@@ -226,8 +226,8 @@ def conjugacy_match(computed: Sequence[Matrix], target: Sequence[Matrix]) -> Mat
 # -- JSON interface -------------------------------------------------------------
 
 
-# The work per Q(zeta_m) entry and the conjugate-product inverse both grow with phi(m), and
-# building Phi_m alone takes up to 0.5 s below this bound (m = 2520 and 2730, best of 3).
+# The work per Q(zeta_m) entry and the conjugate-product inverse both grow with phi(m); building
+# Phi_m as a Moebius product of binomials takes at most 9 ms below this bound (m = 2730).
 MAX_CONDUCTOR = 3000
 
 

@@ -324,7 +324,7 @@ def test_compute_over_a_large_conductor_matches_q(tmp_path, capsys, four_lines_d
     assert over_z2999 == over_q and over_q[0] == 0
 
 
-# Runs `compute` as its one child and prints that child's peak RSS in MB.
+# Runs radonmono as its one child and prints that child's peak RSS in MB.
 _PEAK_RSS = """
 import resource, subprocess, sys
 subprocess.run([sys.executable, "-m", "radonmono", *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL)
@@ -357,6 +357,18 @@ def test_long_braid_word_exits_2(tmp_path, capsys, four_lines_doc):
         assert (code, out, err) == (2, "", message)
     path.write_text(json.dumps({**four_lines_doc, "relations": ["b1", "(b1^2)^100000"]}))
     assert _exit_and_stderr(capsys, ["rank", "--input", str(path)]) == (2, "", message.replace("braids[0]", "relations[1]"))
+
+
+def test_exact_group_on_zariski_cprime_stays_small(tmp_path):
+    # the exact engine numbers the 240 distinct rows it meets and holds each of
+    # the 155,520 elements as its 6 row ids, so this reads about 45 MB; holding
+    # every element as an exact matrix passed 761 MB after 5 minutes
+    out = tmp_path / "group.json"
+    argv = ["group", "--input", "fixture:zariski_cprime", "--exact", "--output", str(out)]
+    wrapper = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True, text=True, check=True)
+    group = json.loads(out.read_text())["group"]
+    assert (group["status"], group["order"], group["derived_series"]) == ("complete", 155_520, [155_520, 51_840, 51_840])
+    assert float(wrapper.stdout) < 100
 
 
 @pytest.mark.parametrize("mode", [["--exact"], []], ids=["exact", "modular"])

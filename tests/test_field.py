@@ -29,6 +29,14 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def test_cyclotomic_polynomials_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    for m in [*range(1, 401), 2520, 2730]:
+        expected = sympy.cyclotomic_poly(m, z, polys=True).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(m) == tuple(int(c) for c in expected), m
+
+
 def test_spec_validation():
     with pytest.raises(InputError):
         FieldSpec.prime(6)

@@ -1,3 +1,5 @@
+import itertools
+import json
 import os
 import random
 import subprocess
@@ -5,6 +7,7 @@ import sys
 
 import pytest
 
+from radonmono.cli import fixture_path
 from radonmono.errors import (
     BadPrime,
     CapExceeded,
@@ -262,6 +265,7 @@ def test_engine_repeated_and_redundant_generators():
     assert derived_series(noisy) == [24, 12, 4, 1]
     assert modular_group_analysis(noisy, [5, 7])["derived_series"] == [24, 12, 4, 1]
     assert derived_series([ident, ident]) == [1]
+    assert derived_series([Matrix.identity(Q, 0)]) == [1]  # the group of the zero space
 
 
 def test_from_matrices_drops_repeated_generators(zariski_c_result):
@@ -479,7 +483,14 @@ def test_stored_inverses_after_derived_series(monkeypatch):
     assert _derived_series(enum) == [24, 12, 4, 1]
     for sub in [enum, *subgroups]:
         assert sub.order == 1 or sub.gens
-        assert all((g * g_inv).is_identity() for g, g_inv in zip(sub.gens, sub.inverses, strict=True))
+        # each stored map and its inverse: exact matrices whose product is the
+        # identity, and row permutations that undo each other
+        rows = sub.rows
+        for g, g_inv in zip(sub.gens, sub.inverses, strict=True):
+            forward, backward = (a.cover(rows, len(rows.keys)) for a in (g, g_inv))
+            assert [backward[r] for r in forward] == list(range(len(rows.keys)))
+            as_matrix = [rows.matrix([a.images[r] for r in rows.identity]) for a in (g, g_inv)]
+            assert (as_matrix[0] * as_matrix[1]).is_identity()
 
     p = 5
     pairs = zip(
@@ -657,3 +668,107 @@ def test_decomposition_shortcut_is_taken_and_skipped():
     assert reducible["moving_endomorphism_dim"] == 2
     reflections = invariant_decomposition(reflections_with_fixed_line()[0])
     assert reflections["fixed_dim"] == 1 and reflections["moving_dim"] == 2 and reflections["decomposes"]
+
+
+# -- the exact engine against a plain breadth-first closure ---------------------------
+
+
+def oracle_closure(gens):
+    """Every element of the generated group as an exact matrix: breadth-first by Matrix products."""
+    ident = Matrix.identity(gens[0].spec, gens[0].rows)
+    seen, layer = {ident}, [ident]
+    while layer:
+        found = []
+        for el in layer:
+            for g in gens:
+                prod = el * g
+                if prod not in seen:
+                    seen.add(prod)
+                    found.append(prod)
+        layer = found
+    return seen
+
+
+def oracle_derived_series(gens):
+    """Orders of the derived series; each derived subgroup is closed from every commutator."""
+    group = oracle_closure(gens)
+    orders = [len(group)]
+    while orders[-1] != 1:
+        inverse = {a: a.inverse() for a in group}
+        group = oracle_closure(list({inverse[a] * inverse[b] * a * b for a in group for b in group}))
+        orders.append(len(group))
+        if orders[-1] == orders[-2]:
+            break
+    return orders
+
+
+def _oracle_groups():
+    gf5, z = FieldSpec.prime(5), Q6.gen()
+    zero, one = Q6.zero(), Q6.one()
+    monomial = [Matrix.from_rows(Q6, [[z, zero], [zero, one]]), permutation_matrix(Q6, (1, 0))]
+    conj = Matrix.from_rows(Q6, [[one, one], [z, one]])
+    return {
+        # GL(2, 3): a transvection and an element of order 8
+        "gf3-gl2": [Matrix.from_ints(FieldSpec.prime(3), rows) for rows in ([[1, 1], [0, 1]], [[0, 1], [1, 1]])],
+        # a diagonal and a monomial generator over GF(5)
+        "gf5-monomial": [Matrix.from_ints(gf5, rows) for rows in ([[2, 0], [0, 1]], [[0, 1], [4, 0]])],
+        "q-s4": s4_generators(),
+        # the Weyl group of B3: signed 3x3 permutation matrices
+        "q-b3": [permutation_matrix(Q, (1, 0, 2)), permutation_matrix(Q, (1, 2, 0)), Matrix.diagonal(Q, [Q.one(), Q.one(), Q.from_int(-1)])],
+        # (C6 x C6) : C2 in GL(2, Q(zeta_6)), and the same group conjugated to dense entries
+        "qz6-monomial": monomial,
+        "qz6-dense": [conj.inverse() * g * conj for g in monomial],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_groups()))
+def test_exact_engine_matches_breadth_first_oracle(name):
+    gens = _oracle_groups()[name]
+    elements = oracle_closure(gens)
+    enum = closure(gens, cap=len(elements))
+    assert enum.order == len(elements)
+    assert enum.elements == elements
+    assert all(g in enum for g in elements) and Matrix.identity(gens[0].spec, gens[0].rows) in enum
+    series = oracle_derived_series(gens)
+    assert derived_series(enum) == series
+    assert derived_series(gens, cap=len(elements)) == series
+    with pytest.raises(CapExceeded):
+        closure(gens, cap=len(elements) - 1)
+    with pytest.raises(CapExceeded):
+        derived_series(gens, cap=len(elements) - 1)
+
+
+# -- the decomposition on the generators that enlarged the enumeration ----------------
+
+ZETA6 = ("1", "z", "z - 1", "-1", "-z", "1 - z")
+
+
+def _exact_group_inputs(four_lines_doc):
+    """Every finite-group input of the exact_group benchmark, and zariski_c itself."""
+    with open(fixture_path("zariski_c")) as handle:
+        zariski_c = json.load(handle)
+    docs = {"zariski_c": zariski_c}
+    classes = {"fl72": [(1, 1, 1, 3), (3, 5, 5, 5)], "fl36": [(1, 1, 2, 2), (4, 4, 5, 5)]}
+    for cls, bases in classes.items():
+        for exps in sorted({p for base in bases for p in itertools.permutations(base)}):
+            docs[f"{cls}-{''.join(map(str, exps))}"] = {
+                **four_lines_doc,
+                "field": {"kind": "cyclotomic", "m": 6},
+                "matrices": [[[ZETA6[e]]] for e in exps],
+            }
+    pairs = [(1, 3), (1, 5), (1, 6), (1, 7), (3, 6), (3, 7), (3, 8), (5, 6), (5, 7), (5, 8), (6, 8), (7, 8)]
+    for i, j in pairs:
+        docs[f"zc24-{i}-{j}"] = {**zariski_c, "braids": [zariski_c["braids"][i], zariski_c["braids"][j]]}
+    return docs
+
+
+def test_decomposition_on_the_enlarging_generators(four_lines_doc):
+    orders = {}
+    for name, doc in _exact_group_inputs(four_lines_doc).items():
+        group = MatrixGroupGen.from_matrices(radon_transform(parse_fundamental_data(doc)).gtilde)
+        enum = closure(group)
+        kept = [g.matrix for g in enum.gens]
+        assert 0 < len(kept) <= len(group.generators), name
+        assert invariant_decomposition(kept) == invariant_decomposition(group), name
+        orders.setdefault(name.split("-")[0], set()).add(enum.order)
+    assert orders == {"zariski_c": {648}, "fl72": {72}, "fl36": {36}, "zc24": {24}}
