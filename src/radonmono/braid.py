@@ -244,10 +244,13 @@ class _Numerators:
 
     @cached_property
     def hs(self) -> list:
-        """The inverses of g from one inversion: with q_k = g_1 ... g_k,
-        g_k^-1 = q_k^-1 q_(k-1) and q_(k-1)^-1 = g_k q_k^-1."""
+        """The inverses of g from at most one inversion: with q_k = g_1 ... g_k,
+        g_k^-1 = q_k^-1 q_(k-1) and q_(k-1)^-1 = g_k q_k^-1.  A tuple whose
+        product q_r is 1, as every tuple `trafodat` accepts, inverts nothing."""
         q = list(accumulate(self.gs, self._mul))
-        hs, inv = list(self.gs), self.slots(self.matrix(q[-1]).inverse().entries)
+        one = self.slots(Matrix.identity(self.spec, self.n).entries)
+        inv = one if q[-1] == one else self.slots(self.matrix(q[-1]).inverse().entries)
+        hs = list(self.gs)
         for k in range(len(q) - 1, 0, -1):
             hs[k], inv = self._mul(inv, q[k - 1]), self._mul(self.gs[k], inv)
         return [inv, *hs[1:]]

@@ -168,9 +168,7 @@ def cmd_group(args) -> int:
                 series = derived_series(enum)
                 analysis = {"order": enum.order, "derived_series": series, "solvable": series[-1] == 1}
                 if enum.gens:  # those that enlarged the enumeration generate the same group
-                    kept = [g.matrix for g in enum.gens]
-                    inverse = dict(zip(group.generators, group.inverses))
-                    group = MatrixGroupGen(group.spec, group.degree, tuple(kept), tuple(map(inverse.get, kept)))
+                    group = MatrixGroupGen(group.spec, group.degree, tuple(g.matrix for g in enum.gens))
             else:
                 primes = args.primes or default_modular_primes(group)
                 analysis = modular_group_analysis(group, primes, cap=args.cap)

@@ -29,8 +29,10 @@ __all__ = [
     "is_prime",
 ]
 
-# The longest digit run of a literal; Python 3.11+ refuses int() of a longer one by default.
+# The longest digit run of a literal or of a printed number; Python 3.11+
+# refuses int() and str() of a longer one by default.
 MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_DIGITS
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to all of _MR_BASES (Sorenson and Webster, Math. Comp. 2017)
@@ -243,6 +245,28 @@ class FieldSpec:
                 i += 1
         return _reduced(self, _fold(reduction, conv), den)
 
+    def sub_multiple(self, w, f: "FieldElement", row) -> list["FieldElement"]:
+        """[a - f * b for a, b in zip(w, row)], each entry normalised once; an
+        entry whose b is zero is a itself.
+
+        Over GF(p) this is one modulo per entry.  In characteristic 0 the
+        integer product of the numerators of f and b, over f.den * b.den, is
+        brought to a common denominator with a and reduced once by the gcd.
+        """
+        if self.kind == "prime":
+            p, c = self.p, f.coeffs[0]
+            return [FieldElement(self, ((a.coeffs[0] - c * b.coeffs[0]) % p,)) if b.coeffs[0] else a for a, b in zip(w, row)]
+        reduction, zero, fc, fd = self._reduction, self._zero_one[0].coeffs, f.coeffs, f.den
+        out = []
+        for a, b in zip(w, row):
+            bc = b.coeffs
+            if bc == zero:
+                out.append(a)
+                continue
+            da, e = a.den, fd * b.den
+            out.append(_reduced(self, [x * e - y * da for x, y in zip(a.coeffs, _times(reduction, fc, bc))], da * e))
+        return out
+
 
 def _reduced(spec: FieldSpec, nums, den: int) -> "FieldElement":
     # The characteristic-0 element nums/den with den > 0 and gcd(den, *nums) = 1.
@@ -440,7 +464,11 @@ class FieldElement:
 
 
 def format_element(a: FieldElement) -> str:
-    """Canonical text form; parse_element(format_element(a)) == a."""
+    """Canonical text form; parse_element(format_element(a)) == a.
+
+    A number of more than MAX_DIGITS digits, which parse_element would
+    refuse, raises InputError.
+    """
     if a.spec.kind == "prime":
         return str(a.coeffs[0])
     parts = []
@@ -448,6 +476,8 @@ def format_element(a: FieldElement) -> str:
         c = Fraction(a.coeffs[k], a.den)
         if c == 0:
             continue
+        if abs(c.numerator) >= _DIGIT_BOUND or c.denominator >= _DIGIT_BOUND:
+            raise InputError(f"an output number is longer than {MAX_DIGITS} digits")
         negative = c < 0
         mag = -c if negative else c
         if k == 0:

@@ -16,7 +16,8 @@ offer `add(word)`: it extends the group by the product of a word of
 (x, x^-1) pairs, a member changing nothing.  So one derived series grows
 each derived subgroup in place, and no engine inverts a matrix: the chain
 forms the inverse of a new element from the inverses `MatrixGroupGen`
-computed, and the enumeration inverts the row map of a complete group.
+forms on first read, and the enumeration inverts the row map of a complete
+group, so the exact path inverts nothing.
 Both raise CapExceeded exactly when the order exceeds the cap; that
 exception is the only way either reports the cap.
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
@@ -39,7 +41,6 @@ from .errors import (
     CapExceeded,
     NonInvertibleGenerator,
     OrderDisagreement,
-    Singular,
     ZeroSeed,
 )
 from .field import FieldElement, FieldSpec, _factorize, cyclotomic_polynomial, format_element, is_prime
@@ -82,25 +83,26 @@ DEFAULT_CAP = 500_000
 
 @dataclass(frozen=True)
 class MatrixGroupGen:
-    """A finite list of invertible generators of a matrix group, with their inverses."""
+    """A finite list of invertible generators of a matrix group; their inverses
+    are formed when first read, which only the modular path does."""
 
     spec: FieldSpec
     degree: int
     generators: tuple[Matrix, ...]
-    inverses: tuple[Matrix, ...]
 
     @classmethod
     def from_matrices(cls, gens: Sequence[Matrix]) -> "MatrixGroupGen":
-        """Validated generators; a repeated generator keeps its first occurrence only."""
+        """Generators of full rank; a repeated generator keeps its first occurrence only."""
         spec, d = square_tuple_shape(gens)
         gens = tuple(dict.fromkeys(gens))
-        inverses = []
         for g in gens:
-            try:
-                inverses.append(g.inverse())
-            except Singular:
-                raise NonInvertibleGenerator("generator is singular") from None
-        return cls(spec, d, gens, tuple(inverses))
+            if len(_Echelon(g.entries).rows) < d:
+                raise NonInvertibleGenerator("generator is singular")
+        return cls(spec, d, gens)
+
+    @cached_property
+    def inverses(self) -> tuple[Matrix, ...]:
+        return tuple(g.inverse() for g in self.generators)
 
 
 def _as_generators(gens) -> MatrixGroupGen:

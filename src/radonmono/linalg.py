@@ -11,8 +11,10 @@ is normalised once.  A vector times a matrix is a one-row product.
 All elimination is one incremental echelon, `_Echelon`, grown a row at a
 time and kept in reduced row echelon form: each row has a leading one at its
 pivot and zeros at every other pivot, and the rows are sorted by pivot.
-Subspaces are stored as such bases, so equal subspaces have structurally
-identical representations.
+Every elimination step, reduction and back-substitution alike, is one
+`FieldSpec.sub_multiple`: each eliminated entry is normalised once, and an
+entry facing a zero is not touched.  Subspaces are stored as such bases, so
+equal subspaces have structurally identical representations.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def _reduce(rows: Sequence[Sequence[FieldElement]], pivots: Sequence[int], vecto
     for row, p in zip(rows, pivots):
         f = w[p]
         if not f.is_zero():
-            w = [a - f * b for a, b in zip(w, row)]
+            w = f.spec.sub_multiple(w, f, row)
     return w
 
 
@@ -217,11 +219,11 @@ class _Echelon:
         if pivot is None:
             return False
         inv = red[pivot].inverse()
-        red = [e * inv for e in red]
+        red = [e * inv if e else e for e in red]
         for k, row in enumerate(self.rows):
             f = row[pivot]
             if not f.is_zero():
-                self.rows[k] = [a - f * b for a, b in zip(row, red)]
+                self.rows[k] = f.spec.sub_multiple(row, f, red)
         at = bisect(self.pivots, pivot)
         self.rows.insert(at, red)
         self.pivots.insert(at, pivot)
@@ -413,8 +415,14 @@ def intertwiner_space(tuple_a: Sequence[Matrix], tuple_b: Sequence[Matrix]) -> S
         raise ShapeMismatch("tuples of different length")
     spec, d = square_tuple_shape([*tuple_a, *tuple_b])
     n = d * d
-    space = Subspace(spec, n, Matrix.identity(spec, n), tuple(range(n)))
-    for a, b in zip(tuple_a, tuple_b):
+    # The first pair is solved over all d x d matrices, whose basis is the units E_ij.
+    space = kernel(Matrix(spec, _unit_conditions(tuple_a[0], tuple_b[0]), cols=n))
+    # Equal tuples: the identity is a solution, so at dim 1 the space is the
+    # scalars, which solve every later pair.
+    floor = 1 if list(tuple_a) == list(tuple_b) else 0
+    for a, b in zip(tuple_a[1:], tuple_b[1:]):
+        if space.dim <= floor:
+            break
         conditions = []
         for row in space.basis.entries:
             t = matrix_from_flat(spec, row, d)
@@ -423,9 +431,24 @@ def intertwiner_space(tuple_a: Sequence[Matrix], tuple_b: Sequence[Matrix]) -> S
         if coeffs.dim < space.dim:
             pivots = tuple(space.pivots[i] for i in coeffs.pivots)
             space = Subspace(spec, n, coeffs.basis * space.basis, pivots)
-        if not space.dim:
-            break
     return space
+
+
+def _unit_conditions(a: Matrix, b: Matrix) -> tuple[tuple[FieldElement, ...], ...]:
+    # E_ij*B - A*E_ij flattened, for k = i*d + j: row j of B in row i, minus
+    # column i of A in column j, the two meeting at (i, j).
+    d = a.rows
+    zero = a.spec.zero()
+    minus_columns = [[-x for x in col] for col in zip(*a.entries)]
+    rows = []
+    for i in range(d):
+        for j, b_row in enumerate(b.entries):
+            t = [zero] * (d * d)
+            t[i * d : (i + 1) * d] = b_row
+            t[j::d] = minus_columns[i]
+            t[i * d + j] = b_row[j] - a.entries[i][i]
+            rows.append(tuple(t))
+    return tuple(rows)
 
 
 def matrix_from_flat(spec: FieldSpec, flat: Sequence[FieldElement], d: int) -> Matrix:

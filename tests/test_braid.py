@@ -115,6 +115,24 @@ def _random_tuple(rng, n, r):
     return tuple(mats)
 
 
+@pytest.mark.parametrize("spec", [GF7, FieldSpec.rational(), FieldSpec.cyclotomic(6)], ids=lambda s: s.label())
+def test_inverses_invert_only_a_product_other_than_one(spec, monkeypatch):
+    # q_r = g_1 ... g_r is inverted only when it is not the identity
+    a = Matrix.from_ints(spec, [[2, 1], [1, 1]])
+    b = Matrix.from_ints(spec, [[1, 3], [0, 1]])
+    product_one = (a, b, (a * b).inverse())
+    other = (a, b, b)
+    want = {g: tuple(m.inverse() for m in g) for g in (product_one, other)}
+    calls = []
+    inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda self: calls.append(self) or inverse(self))
+    for g, inversions in ((product_one, 0), (other, 1)):
+        start = braid._Numerators(g)
+        assert tuple(map(start.matrix, start.hs)) == want[g]
+        assert len(calls) == inversions
+        calls.clear()
+
+
 def test_action_formula():
     # (a, b, c) under the first generator becomes (b, b^-1 a b, c)
     rng = random.Random(11)

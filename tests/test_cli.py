@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -245,6 +246,26 @@ def test_over_long_json_number_exits_2(tmp_path, capsys, four_lines_doc):
     for command in ("compute", "rank", "check", "group"):
         code, out, err = _exit_and_stderr(capsys, [command, "--input", str(path)])
         assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith(f"error: {path}: ")
+
+
+def test_over_long_output_number_exits_2(tmp_path, capsys, four_lines_doc):
+    # 2^15000 has 4516 digits: the literal is short, the printed tuple would not be
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({**four_lines_doc, "matrices": [[["(2)^15000"]], [["(2)^-15000"]], [["-1"]], [["-1"]]]}))
+    for command in ("compute", "group"):
+        code, out, err = _exit_and_stderr(capsys, [command, "--input", str(path)])
+        assert (code, out, err) == (2, "", "error: an output number is longer than 4300 digits\n")
+    for command in ("rank", "check"):
+        assert _exit_and_stderr(capsys, [command, "--input", str(path)])[0] == 0
+
+
+@pytest.mark.parametrize("flags", [[], ["--exact"]], ids=["modular", "exact"])
+def test_singular_output_generator_exits_2(capsys, flags):
+    # the braid words of this input move the tuple, and one output generator is singular
+    path = os.path.join(os.path.dirname(__file__), "data", "q_identity_entry.json")
+    code, out, err = _exit_and_stderr(capsys, ["group", "--input", path, *flags])
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert (code, out, errors) == (2, "", ["error: generator is singular"])
 
 
 @pytest.mark.parametrize("p", [318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981])

@@ -316,6 +316,35 @@ if given is not None:
         ys = draw(st.lists(entry, min_size=n, max_size=n))
         return spec, xs, ys
 
+    SUB_MULTIPLE_SPECS = [FieldSpec.prime(101), FieldSpec.rational(), FieldSpec.cyclotomic(6), FieldSpec.cyclotomic(105)]
+
+    @st.composite
+    def sub_multiple_case(draw):
+        """w, f and row, zeros on either side; denominators up to 12 differ entry by entry."""
+        spec = draw(st.sampled_from(SUB_MULTIPLE_SPECS))
+        if spec.kind == "prime":
+            value = st.integers(0, spec.p - 1).map(spec.from_int)
+        else:
+            coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+            # a few nonzero coefficients keep Q(zeta_105), of degree 48, quick
+            terms = st.dictionaries(st.integers(0, spec.degree - 1), coeff, max_size=3)
+            value = terms.map(lambda t: spec.element([t.get(e, 0) for e in range(spec.degree)]))
+        entry = st.one_of(st.just(spec.zero()), value)
+        n = draw(st.integers(0, 6))
+        w = draw(st.lists(entry, min_size=n, max_size=n))
+        row = draw(st.lists(entry, min_size=n, max_size=n))
+        return spec, w, draw(entry), row
+
+    @settings(max_examples=200, deadline=None)
+    @given(sub_multiple_case())
+    def test_sub_multiple_equals_per_entry_difference(case):
+        spec, w, f, row = case
+        got = spec.sub_multiple(w, f, row)
+        want = [a - f * b for a, b in zip(w, row)]
+        assert [(x.coeffs, x.den) for x in got] == [(x.coeffs, x.den) for x in want]
+        # an entry facing a zero is the entry itself
+        assert all(x is a for x, a, b in zip(got, w, row) if b.is_zero())
+
     @settings(max_examples=200, deadline=None)
     @given(dot_case())
     def test_dot_equals_per_term_sum(case):

@@ -446,6 +446,7 @@ def test_import_leaves_numpy_unloaded():
 
 def test_engines_invert_no_matrix(zariski_c_result, monkeypatch):
     group = MatrixGroupGen.from_matrices(list(zariski_c_result.gtilde))
+    group.inverses  # formed on first read, which the modular engine needs
     calls = []
     inverse = Matrix.inverse
 
@@ -457,6 +458,38 @@ def test_engines_invert_no_matrix(zariski_c_result, monkeypatch):
     assert derived_series(closure(group)) == [648, 216, 54, 27, 3, 1]
     assert modular_group_analysis(group, [7, 13])["derived_series"] == [648, 216, 54, 27, 3, 1]
     assert calls == []
+
+
+def test_exact_path_inverts_no_matrix(zariski_c_result, monkeypatch):
+    calls = []
+    inverse = Matrix.inverse
+
+    def counting_inverse(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    group = MatrixGroupGen.from_matrices(list(zariski_c_result.gtilde))
+    enum = closure(group)
+    assert derived_series(enum) == [648, 216, 54, 27, 3, 1]
+    summary = invariant_decomposition(group)
+    assert (summary["moving_dim"], summary["moving_endomorphism_dim"]) == (3, 1)
+    assert calls == []
+    inverses = group.inverses  # the modular path reads them: formed once, on first read
+    assert calls == list(group.generators)
+    assert group.inverses is inverses and len(calls) == len(group.generators)
+    assert all((g * h).is_identity() for g, h in zip(group.generators, inverses))
+
+
+@pytest.mark.parametrize("spec", [GF7, Q, Q6], ids=lambda s: s.label())
+def test_singular_generator_is_refused_on_both_paths(spec):
+    # full rank but for one generator, which is not zero
+    gens = [Matrix.identity(spec, 2), Matrix.from_ints(spec, [[1, 2], [2, 4]])]
+    with pytest.raises(NonInvertibleGenerator, match="generator is singular"):
+        closure(gens)
+    primes = [spec.p] if spec.kind == "prime" else [7, 13]
+    with pytest.raises(NonInvertibleGenerator, match="generator is singular"):
+        modular_group_analysis(gens, primes)
 
 
 def _record_subgroups(monkeypatch, engine):

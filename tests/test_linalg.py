@@ -395,6 +395,44 @@ if given is not None:
         assert len(set(mats)) == 1
 
 
+def _unipotent_pair(spec):
+    # [[1, 1], [0, 1]] and [[1, 0], [1, 1]]: the first commutes with a plane, both with the scalars only
+    return Matrix.from_ints(spec, [[1, 1], [0, 1]]), Matrix.from_ints(spec, [[1, 0], [1, 1]])
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.prime(7), Q, FieldSpec.cyclotomic(6)], ids=lambda s: s.label())
+def test_endomorphisms_of_an_irreducible_tuple_are_the_scalars(spec, monkeypatch):
+    from radonmono import linalg
+
+    up, down = _unipotent_pair(spec)
+    kernels = []
+    monkeypatch.setattr(linalg, "kernel", lambda a: kernels.append(a) or kernel(a))
+    tup = [up, down, up * down, down * up * up]
+    space = intertwiner_space(tup, tup)
+    assert space.basis == Matrix.from_ints(spec, [[1, 0, 0, 1]]) and space.pivots == (0,)
+    # at dim 1 the space is the scalars: the last two pairs are not solved
+    assert len(kernels) == 2
+    assert space == stacked_intertwiner_space(tup, tup)
+
+
+def test_hom_space_reaching_dim_one_goes_on():
+    # the pairs agree but for the last, whose scalars differ: Hom reaches the
+    # scalars after two pairs, and only the third makes it zero
+    gf = FieldSpec.prime(7)
+    up, down = _unipotent_pair(gf)
+    one, two = Matrix.identity(gf, 2), Matrix.diagonal(gf, [gf.from_int(2)] * 2)
+    tuple_a, tuple_b = [up, down, one], [up, down, two]
+    assert intertwiner_space(tuple_a[:2], tuple_b[:2]).dim == 1
+    space = intertwiner_space(tuple_a, tuple_b)
+    assert space.dim == 0 and space == stacked_intertwiner_space(tuple_a, tuple_b)
+    # a conjugate tuple: Hom is the line of the conjugator S, T*S^-1 A S = A*T
+    s = Matrix.from_ints(gf, [[1, 2], [0, 1]])
+    conjugate = [s.inverse() * a * s for a in tuple_a]
+    space = intertwiner_space(tuple_a, conjugate)
+    assert space.basis == Matrix.from_ints(gf, [[1, 2, 0, 1]])
+    assert space == stacked_intertwiner_space(tuple_a, conjugate)
+
+
 def test_intertwiner_space_dimension_extremes():
     gf = FieldSpec.prime(7)
     two, three = Matrix.diagonal(gf, [gf.from_int(2)] * 3), Matrix.diagonal(gf, [gf.from_int(3)] * 3)
