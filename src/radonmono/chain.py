@@ -3,8 +3,8 @@
 `StabilizerChain` is the modular engine of `group.modular_group_analysis`.
 It keeps no element list: memory grows with the sum of the orbit lengths,
 not with the order.  It uses no exact arithmetic: every inverse it holds is
-a product of inverses passed to `add`.  The module loads numpy, so `group`
-imports it only on the modular path.
+a product of inverses passed to `extend`.  The module loads numpy, so
+`group` imports it only on the modular path.
 """
 
 from __future__ import annotations
@@ -24,7 +24,10 @@ class _Level:
     `gens` are the strong generators that fix every earlier base vector,
     with their `inverses`.  `points` maps the key of each orbit vector x to
     its index in the transversal: u[i] is a product of generators moving
-    e_base to x, and u_inv[i] its inverse.
+    e_base to x, and u_inv[i] its inverse.  `unsifted[k, x]` is False for
+    the pairs (gens[k], point x) whose Schreier generator is known to lie in
+    the stabilizer the lower levels generate; its shape is the number of
+    generators and of points when the level was last checked.
     """
 
     def __init__(self, base: int, ident: np.ndarray, key: bytes):
@@ -34,10 +37,29 @@ class _Level:
         self.points = {key: 0}
         self.u = ident[None]
         self.u_inv = ident[None]
+        self.unsifted = np.zeros((0, 0), dtype=bool)
+        self.stacked = self.u[:0]  # gens as one array, restacked when they grow
+
+    def pending(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The pairs (k, x) not known to sift to 1, in the order k, then x; None if there are none.
+
+        The pairs of new generators and new points join `unsifted` as True.
+        """
+        shape = (len(self.gens), len(self.points))
+        if self.unsifted.shape != shape:
+            unsifted = np.ones(shape, dtype=bool)
+            k0, x0 = self.unsifted.shape
+            unsifted[:k0, :x0] = self.unsifted
+            self.unsifted = unsifted
+        elif not self.unsifted.any():
+            return None
+        if len(self.stacked) != shape[0]:
+            self.stacked = np.stack(self.gens)
+        return np.nonzero(self.unsifted)
 
 
 class StabilizerChain:
-    """The group generated by everything passed to `add`, mod p, as a stabilizer chain.
+    """The group generated by everything passed to `extend`, mod p, as a stabilizer chain.
 
     Matrices are (d, d) int64 arrays with entries in 0..p-1, acting on row
     vectors from the right.  Level i holds the orbit of a standard basis
@@ -45,11 +67,17 @@ class StabilizerChain:
     e_{b_{i-1}}; the image of e_b under g is row b of g, so orbits need no
     products beyond the transversal's.  A matrix that fixes every e_b is the
     identity, so there are at most d levels and the order is the product of
-    the orbit lengths.  `add` keeps the chain complete (deterministic
-    Schreier-Sims, Seress 2003, ch. 4): each level's Schreier generators
-    u_x s u_{xs}^-1 are formed as one (N, d, d) batch and sifted together
-    through the lower levels; the first nontrivial residue becomes a strong
-    generator, and the check resumes at the level where it dropped out.
+    the orbit lengths.  `extend` keeps the chain complete (deterministic
+    Schreier-Sims, Seress 2003, §4.2): each Schreier generator u_x s
+    u_{xs}^-1 is sifted through the lower levels once, unless it fails.
+    Transversals are append-only and the lower levels only grow, so a
+    Schreier generator that sifted to 1 stays in the stabilizer; a level
+    forms the pairs of its new generators and new points, and those that
+    failed before, as one gathered (N, d, d) batch and sifts them together.
+    The first nontrivial residue becomes a strong generator, and the check
+    resumes at the level where it dropped out.  Membership questions go in
+    one batch too: `contains` sifts a whole stack of matrices, and `extend`
+    the products of all its words.
 
     Every orbit is taken under a subgroup of the true stabilizer, so the
     product of the orbit lengths never exceeds the order: CapExceeded is
@@ -67,8 +95,7 @@ class StabilizerChain:
         self.levels: list[_Level] = []
         self.gens: list[np.ndarray] = []
         self.inverses: list[np.ndarray] = []
-        for pair in pairs:
-            self.add([pair])
+        self.extend([pair] for pair in pairs)
 
     @property
     def order(self) -> int:
@@ -77,25 +104,37 @@ class StabilizerChain:
     def trivial(self) -> "StabilizerChain":
         return StabilizerChain(self.p, self.degree, self.cap)
 
-    def contains(self, g: np.ndarray) -> bool:
-        residue, _, drop = self._sift(g[None], 0)
-        return not self._nontrivial(residue, drop)[0]
+    def contains(self, h: np.ndarray) -> np.ndarray:
+        """Which matrices of an (N, d, d) batch are members, sifted together."""
+        residue, _, drop = self._sift(h, 0)
+        return ~self._nontrivial(residue, drop)
 
-    def add(self, word) -> None:
-        """Extend the group by g, the product of a word of (x, x^-1) pairs; a member changes nothing.
+    def extend(self, words) -> None:
+        """Extend the group by the products of words of (x, x^-1) pairs, in order; a member changes nothing.
 
-        g^-1 is the reversed product of the inverses.  g joins the top
-        level's strong generators; the check of that level's Schreier
-        generators then finds what g adds to the stabilizers.
+        The products are sifted as one batch; after one enlarges the group,
+        only those after it are sifted again.  g^-1 is the reversed product
+        of the inverses, formed only for a g that enlarges the group.  g
+        joins the top level's strong generators; the check of that level's
+        Schreier generators then finds what g adds to the stabilizers.
         """
-        g = self._product([x for x, _ in word])
-        if self.contains(g):
+        words = list(words)
+        if not words:
             return
-        g_inv = self._product([x_inv for _, x_inv in reversed(word)])
-        self.gens.append(g)
-        self.inverses.append(g_inv)
-        self._insert(g, g_inv, 0, 0)
-        self._complete(0)
+        gs = [self._product([x for x, _ in word]) for word in words]
+        batch = gs[0][None] if len(gs) == 1 else np.stack(gs)
+        n = 0
+        while n < len(words):
+            new = np.flatnonzero(~self.contains(batch[n:]))
+            if not new.size:
+                return
+            n += int(new[0])
+            g, g_inv = gs[n], self._product([x_inv for _, x_inv in reversed(words[n])])
+            self.gens.append(g)
+            self.inverses.append(g_inv)
+            self._insert(g, g_inv, 0, 0)
+            self._complete(0)
+            n += 1
 
     def _product(self, mats: list[np.ndarray]) -> np.ndarray:
         return functools.reduce(lambda a, b: a @ b % self.p, mats)
@@ -179,19 +218,27 @@ class StabilizerChain:
         p = self.p
         while i >= 0:
             level = self.levels[i]
-            us = np.concatenate([level.u @ s % p for s in level.gens])
+            pairs = level.pending()
+            if pairs is None:
+                i -= 1
+                continue
+            ks, xs = pairs
+            us = level.u[xs] @ level.stacked[ks] % p
             where = [level.points[key] for key in self._keys(us[:, level.base])]
             schreier = us @ level.u_inv[where] % p
             residue, _, drop = self._sift(schreier, i + 1)
-            bad = np.flatnonzero(self._nontrivial(residue, drop))
-            if not bad.size:
+            bad = self._nontrivial(residue, drop)
+            level.unsifted[ks, xs] = bad
+            if not bad.any():
                 i -= 1
                 continue
-            # the first failing Schreier generator u_x s u_{xs}^-1, sifted again with its inverse
-            n = bad[0]
-            k, x = divmod(n, len(level.u))
+            # the first failing Schreier generator u_x s u_{xs}^-1, sifted again with its inverse;
+            # once its residue is a strong generator below, it lies in the stabilizer
+            n = int(bad.argmax())
+            k, x = ks[n], xs[n]
             h_inv = self._product([level.u[where[n]], level.inverses[k], level.u_inv[x]])
             residue, residue_inv, drop = self._sift(schreier[n][None], i + 1, h_inv[None])
             j = int(drop[0])
             self._insert(residue[0], residue_inv[0], i + 1, j)
+            level.unsifted[k, x] = False
             i = j

@@ -211,14 +211,17 @@ def phibar(
     The dim_w rows `ts.middle` of the echelon basis of H, held by ts as
     integer numerators, are moved through the word, and the moved rows are
     read in the source flag basis by `TupleSpaces.w_coordinates`; for words
-    that move the tuple the result is in the source flag coordinates.  With
+    that move the tuple the result is in the source flag coordinates.  The
+    target is compared with ts.g as numerators, and only the entries that
+    moved are converted: an entry the word fixes is ts.g's own.  With
     verify=True the basis rows of H and E are moved along and the stability
     of the cocycle and coboundary spaces is checked exactly.
     """
     start, letters, h = ts.start, _word_letters(word, ts.r), ts.H.basis.entries
     slots, den = start.slots([*(h[j] for j in ts.middle), *h, *ts.E.basis.entries]) if verify else ts.moving
     moving = [list(slots), den] if slots else None
-    target = tuple(map(start.matrix, start.move(letters, moving)))
+    reached = start.move(letters, moving)
+    target = tuple(g if a == a0 else start.matrix(a) for g, a0, a in zip(ts.g, start.gs, reached))
     moved = start.rows(*moving) if moving else []
     if verify:
         _verify_stability(ts, moved[ts.dim_w :], target)

@@ -473,18 +473,20 @@ def format_element(a: FieldElement) -> str:
         return str(a.coeffs[0])
     parts = []
     for k in range(len(a.coeffs) - 1, -1, -1):
-        c = Fraction(a.coeffs[k], a.den)
-        if c == 0:
+        c = a.coeffs[k]
+        if not c:
             continue
-        if abs(c.numerator) >= _DIGIT_BOUND or c.denominator >= _DIGIT_BOUND:
+        g = gcd(c, a.den)  # c / den in lowest terms
+        num, den = abs(c) // g, a.den // g
+        if num >= _DIGIT_BOUND or den >= _DIGIT_BOUND:
             raise InputError(f"an output number is longer than {MAX_DIGITS} digits")
         negative = c < 0
-        mag = -c if negative else c
+        mag = str(num) if den == 1 else f"{num}/{den}"
         if k == 0:
-            body = str(mag)
+            body = mag
         else:
             head = "z" if k == 1 else f"z^{k}"
-            body = head if mag == 1 else f"{mag}*{head}"
+            body = head if mag == "1" else f"{mag}*{head}"
         if not parts:
             parts.append(("-" if negative else "") + body)
         else:

@@ -12,12 +12,13 @@ inverted maps, does none.  `closure` returns that `_Enumeration` itself,
 which `derived_series` continues and `contains_scalar` reads.  The modular
 path keeps no element list: `chain.StabilizerChain` is a stabilizer chain of
 the group mod p, built by deterministic Schreier-Sims with numpy.  Both
-offer `add(word)`: it extends the group by the product of a word of
-(x, x^-1) pairs, a member changing nothing.  So one derived series grows
-each derived subgroup in place, and no engine inverts a matrix: the chain
-forms the inverse of a new element from the inverses `MatrixGroupGen`
-forms on first read, and the enumeration inverts the row map of a complete
-group, so the exact path inverts nothing.
+offer `extend(words)`: it extends the group by the products of words of
+(x, x^-1) pairs, in order, a member changing nothing; the chain asks
+whether they are members in one batch.  So one derived series grows each
+derived subgroup in place, and no engine inverts a matrix: the chain forms
+the inverse of a new element from the inverses `MatrixGroupGen` forms on
+first read, and the enumeration inverts the row map of a complete group,
+so the exact path inverts nothing.
 Both raise CapExceeded exactly when the order exceeds the cap; that
 exception is the only way either reports the cap.
 
@@ -114,8 +115,9 @@ def _as_generators(gens) -> MatrixGroupGen:
 # -- the exact engine and the derived series of either engine -----------------------
 #
 # `_derived_series` reads from `_Enumeration` or `chain.StabilizerChain` only
-# `order`, `gens`, `inverses`, `add` and `trivial`, and hands `add` words of
-# (x, x^-1) pairs, so one derived series serves both and inverts nothing.
+# `order`, `gens`, `inverses`, `extend` and `trivial`, and hands `extend`
+# words of (x, x^-1) pairs, so one derived series serves both and inverts
+# nothing.
 
 
 class _Rows:
@@ -201,7 +203,7 @@ class _Action:
 
 
 class _Enumeration:
-    """All elements of the group generated by everything passed to `add`.
+    """All elements of the group generated by everything passed to `extend`.
 
     An element g is the tuple of the ids of its rows e_i g in a `_Rows`
     table shared with the subgroups `trivial` makes, so g times a generator
@@ -234,7 +236,12 @@ class _Enumeration:
     def trivial(self) -> "_Enumeration":
         return _Enumeration(self.rows, self.cap)
 
-    def add(self, word) -> None:
+    def extend(self, words) -> None:
+        """Extend the group by the product of each word, in order; see `_add`."""
+        for word in words:
+            self._add(word)
+
+    def _add(self, word) -> None:
         """Extend the group by g, the product of a word of (x, x^-1) pairs; a member changes nothing.
 
         Only the maps x are read: the inverse of a new generator is its map
@@ -280,18 +287,20 @@ def _derived_series(group: _Enumeration | StabilizerChain) -> list[int]:
     The derived subgroup is the normal closure of the commutators of the
     generators: it is grown by those commutators, then by the conjugates of
     each of its generators by each generator of the group until none is new.
-    The list stops at order 1 (solvable) or when the order stabilizes
-    (perfect derived subgroup).
+    Each step passes its words to `extend` together.  The list stops at
+    order 1 (solvable) or when the order stabilizes (perfect derived
+    subgroup).
     """
     orders = [group.order]
     while orders[-1] != 1:
         pairs = list(zip(group.gens, group.inverses))
         sub = group.trivial()
-        for (a, a_inv), (b, b_inv) in itertools.combinations(pairs, 2):
-            sub.add([(a_inv, a), (b_inv, b), (a, a_inv), (b, b_inv)])
+        sub.extend(
+            [(a_inv, a), (b_inv, b), (a, a_inv), (b, b_inv)]
+            for (a, a_inv), (b, b_inv) in itertools.combinations(pairs, 2)
+        )
         for s in zip(sub.gens, sub.inverses):  # both grow during the loop
-            for g, g_inv in pairs:
-                sub.add([(g_inv, g), s, (g, g_inv)])
+            sub.extend([(g_inv, g), s, (g, g_inv)] for g, g_inv in pairs)
         orders.append(sub.order)
         if orders[-1] == orders[-2]:
             break
@@ -305,8 +314,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> _Enumeration:
     if cap < 1:
         raise CapExceeded("cap must be >= 1")
     enum = _Enumeration(_Rows(group.spec, group.degree), cap)
-    for g in group.generators:
-        enum.add([(_Action(matrix=g), None)])
+    enum.extend([(_Action(matrix=g), None)] for g in group.generators)
     return enum
 
 
@@ -345,12 +353,17 @@ def _spin(generators: Sequence[Matrix], seed_space: Subspace) -> Subspace:
     # Breadth-first layers: the images of a layer under each generator are one
     # product, and those that grow the echelon form the next layer.  An
     # echelon that spans the whole ambient space can grow no further, so the
-    # search stops there; the RREF of the span does not depend on the order.
+    # search stops there, within a layer too; the RREF of the span does not
+    # depend on the order.
     n, spec = seed_space.ambient_dim, seed_space.spec
     ech = _Echelon(seed_space.basis.entries)
     layer = seed_space.basis
     while layer.rows and len(ech.rows) < n:
-        grown = [img for gen in generators for img in (layer * gen).entries if ech.add(img)]
+        grown = []
+        for gen in generators:
+            if len(ech.rows) == n:
+                break
+            grown += [img for img in (layer * gen).entries if ech.add(img)]
         layer = Matrix(spec, tuple(grown), cols=n)
     return ech.subspace(spec, n)
 
@@ -473,7 +486,10 @@ def _modp_scalar_exponents(chain: StabilizerChain, spec: FieldSpec, root: int | 
         m, base = 2, p - 1
     else:
         return []
-    return [k for k in range(m) if chain.contains(chain.ident * pow(base, k, p))]
+    import numpy as np
+
+    scalars = np.array([pow(base, k, p) for k in range(m)], dtype=np.int64)
+    return np.flatnonzero(chain.contains(chain.ident * scalars[:, None, None])).tolist()
 
 
 def _modp_entry(group: MatrixGroupGen, p: int, cap: int, with_derived: bool) -> dict:

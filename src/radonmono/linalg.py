@@ -213,7 +213,13 @@ class _Echelon:
             self.add(row)
 
     def add(self, vector: Sequence[FieldElement]) -> bool:
-        """Insert the vector into the span; False (and no change) if already there."""
+        """Insert the vector into the span; False (and no change) if already there.
+
+        A full echelon, with as many rows as the vector has entries, spans
+        everything and reduces nothing.
+        """
+        if len(self.rows) == len(vector):
+            return False
         red = _reduce(self.rows, self.pivots, vector)
         pivot = next((j for j, e in enumerate(red) if not e.is_zero()), None)
         if pivot is None:

@@ -382,6 +382,11 @@ def test_phibar_returns_the_target_tuple(spec):
         assert target == act_on_tuple(g, word)
         assert (target == g) is fixes
         assert phibar(ts, word, verify=True)[1] == target
+    # an entry the word fixes is the tuple's own matrix, not a converted copy
+    assert all(a is b for a, b in zip(phibar(ts, twist)[1], ts.g))
+    target = phibar(ts, [1, 1])[1]
+    assert target == act_on_tuple(g, [1, 1])
+    assert [a is b for a, b in zip(target, ts.g)] == [False, False, True, True]
 
 
 @pytest.mark.parametrize("spec", [FieldSpec.prime(101), Q, Q6], ids=["GF101", "Q", "Qzeta6"])

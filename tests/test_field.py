@@ -195,6 +195,59 @@ def test_format_parse_round_trip(spec):
         assert parse_element(format_element(x), spec) == x
 
 
+def _format_with_fractions(a):
+    # the text form built from Fraction coefficients, as a reference
+    if a.spec.kind == "prime":
+        return str(a.coeffs[0])
+    parts = []
+    for k in range(len(a.coeffs) - 1, -1, -1):
+        c = Fraction(a.coeffs[k], a.den)
+        if c == 0:
+            continue
+        if abs(c.numerator) >= 10**4300 or c.denominator >= 10**4300:
+            raise InputError("an output number is longer than 4300 digits")
+        mag, head = abs(c), "z" if k == 1 else f"z^{k}"
+        if k == 0:
+            body = str(mag)
+        else:
+            body = head if mag == 1 else f"{mag}*{head}"
+        if parts:
+            parts.append((" - " if c < 0 else " + ") + body)
+        else:
+            parts.append(("-" if c < 0 else "") + body)
+    return "".join(parts) if parts else "0"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FieldSpec.rational(), FieldSpec.cyclotomic(6), FieldSpec.cyclotomic(105), FieldSpec.prime(101)],
+    ids=lambda s: s.label(),
+)
+def test_format_element_against_fractions(spec):
+    rng = random.Random(f"format:{spec.label()}")
+    samples = [spec.zero(), spec.one(), -spec.one(), spec.from_int(-7)]
+    for _ in range(200):
+        if spec.kind == "prime":
+            samples.append(spec.from_int(rng.randrange(spec.p)))
+            continue
+        coeffs = [
+            Fraction(rng.choice([0, 0, 1, -1, rng.randint(-10**6, 10**6)]), rng.choice([1, 1, 2, 6, rng.randint(1, 10**4)]))
+            for _ in range(rng.randint(1, spec.degree))
+        ]
+        samples.append(spec.element(coeffs))
+    for x in samples:
+        assert format_element(x) == _format_with_fractions(x), x.coeffs
+    if spec.kind != "prime":
+        for big in (spec.from_int(10**4300), spec.from_fraction(Fraction(-1, 10**4300)), spec.from_int(10**4300 - 1)):
+            try:
+                expected = _format_with_fractions(big)
+            except InputError as exc:
+                with pytest.raises(InputError, match=str(exc)):
+                    format_element(big)
+            else:
+                assert format_element(big) == expected
+
+
 def test_degree_one_cyclotomic_fields():
     # conductors 1 and 2 collapse to the rationals with z = 1 and z = -1
     assert FieldSpec.cyclotomic(1).gen().is_one()

@@ -18,6 +18,7 @@ from radonmono.errors import (
 )
 from radonmono.field import FieldSpec
 from radonmono.group import (
+    DEFAULT_CAP,
     MatrixGroupGen,
     closure,
     contains_scalar,
@@ -545,6 +546,130 @@ def test_stored_inverses_after_derived_series(monkeypatch):
         for level in sub.levels:
             assert_inverse(level.gens, level.inverses)
             assert_inverse(level.u, level.u_inv)
+
+
+# -- membership questions in one batch, each Schreier generator sifted once ---------
+
+
+def _chain_state(chain):
+    levels = [(level.base, list(level.points.items()), level.u.tolist(), level.u_inv.tolist()) for level in chain.levels]
+    return chain.order, [g.tolist() for g in chain.gens], [g.tolist() for g in chain.inverses], levels
+
+
+def _chain_words(pairs):
+    # commutators first, then the generators and their squares: some words are members
+    commutators = [
+        [(a_inv, a), (b_inv, b), (a, a_inv), (b, b_inv)] for (a, a_inv), (b, b_inv) in itertools.combinations(pairs, 2)
+    ]
+    return commutators + [[pair] for pair in pairs] + [[pair, pair] for pair in pairs]
+
+
+@pytest.mark.parametrize("case", ["s4_mod5", "zariski_c_mod7"])
+def test_chain_extend_matches_one_word_at_a_time(case, zariski_c_result):
+    from radonmono.chain import StabilizerChain
+
+    if case == "s4_mod5":
+        group, p = MatrixGroupGen.from_matrices(s4_generators()), 5
+    else:
+        group, p = MatrixGroupGen.from_matrices(list(zariski_c_result.gtilde)), 7
+    pairs = list(zip(*([reduce_matrix_modp(g, p) for g in mats] for mats in (group.generators, group.inverses))))
+    words = _chain_words(pairs)
+    together, apart = (StabilizerChain(p, group.degree, DEFAULT_CAP) for _ in range(2))
+    together.extend(words)
+    for word in words:
+        apart.extend([word])
+    assert _chain_state(together) == _chain_state(apart)
+    assert together.order == (24 if case == "s4_mod5" else 648)
+
+
+def test_enumeration_extend_matches_one_word_at_a_time():
+    from radonmono.group import _Action, _Enumeration, _Rows
+
+    group = MatrixGroupGen.from_matrices(s4_generators(GF7))
+    states = []
+    for together in (True, False):
+        rows = _Rows(group.spec, group.degree)
+        a, b = ((_Action(matrix=g), None) for g in group.generators)
+        words = [[a, b], [b, a], [a], [a, a], [b], [a, b, a]]
+        enum = _Enumeration(rows, DEFAULT_CAP)
+        if together:
+            enum.extend(words)
+        else:
+            for word in words:
+                enum.extend([word])
+        maps = [x.cover(rows, len(rows.keys)) for x in (*enum.gens, *enum.inverses)]
+        states.append((enum.order, enum.members, len(enum.gens), maps, rows.keys))
+    assert states[0] == states[1]
+    assert states[0][0] == 24
+
+
+def test_each_schreier_generator_is_sifted_once(monkeypatch, zariski_cprime_result):
+    from radonmono import chain
+    from radonmono.group import _modp_entry
+
+    levels, counts = [], {"sifted": 0, "failed": 0}
+    init, sift = chain._Level.__init__, chain.StabilizerChain._sift
+
+    def recording_init(self, *args):
+        init(self, *args)
+        levels.append(self)
+
+    def counting_sift(self, h, start, h_inv=None):
+        residue, residue_inv, drop = sift(self, h, start, h_inv)
+        if start > 0 and h_inv is None:  # a batch of Schreier generators
+            counts["sifted"] += len(h)
+            counts["failed"] += int(self._nontrivial(residue, drop).sum())
+        return residue, residue_inv, drop
+
+    monkeypatch.setattr(chain._Level, "__init__", recording_init)
+    monkeypatch.setattr(chain.StabilizerChain, "_sift", counting_sift)
+    group = MatrixGroupGen.from_matrices(list(zariski_cprime_result.gtilde))
+    entry = _modp_entry(group, 7, DEFAULT_CAP, with_derived=True)
+    assert (entry["order"], entry["derived_series"]) == (155_520, [155_520, 51_840, 51_840])
+    # a (level, generator, point) pair is sifted once, and again only after it failed
+    pairs = sum(len(level.gens) * len(level.points) for level in levels)
+    assert 0 < counts["sifted"] <= pairs + counts["failed"]
+
+
+def test_scalar_exponents_sift_once(monkeypatch):
+    from radonmono.chain import StabilizerChain
+    from radonmono.group import _modp_scalar_exponents
+
+    # z^2 and a swap: the scalars z^0, z^2 and z^4 are members, the odd powers are not
+    z2 = Q6.gen() ** 2
+    group = MatrixGroupGen.from_matrices([scalar_matrix(Q6, z2, 2), permutation_matrix(Q6, (1, 0))])
+    p, root = 7, root_of_unity_modp(6, 7)
+    pairs = zip(*([reduce_matrix_modp(g, p, root) for g in mats] for mats in (group.generators, group.inverses)))
+    chain = StabilizerChain(p, group.degree, DEFAULT_CAP, pairs)
+    calls = []
+    sift = StabilizerChain._sift
+
+    def counting_sift(self, *args):
+        calls.append(len(args[0]))
+        return sift(self, *args)
+
+    monkeypatch.setattr(StabilizerChain, "_sift", counting_sift)
+    exponents = _modp_scalar_exponents(chain, group.spec, root)
+    assert calls == [6]
+    monkeypatch.undo()
+    one_by_one = [k for k in range(6) if chain.contains((chain.ident * pow(root, k, p))[None])[0]]
+    assert exponents == one_by_one == [0, 2, 4]
+
+
+def test_spin_stops_multiplying_at_full_rank(monkeypatch):
+    # e_0 and its image under the swap span V, so the other generators are never applied
+    swap = permutation_matrix(Q, (1, 0))
+    gens = [swap, scalar_matrix(Q, Q.from_int(2), 2), scalar_matrix(Q, Q.from_int(3), 2)]
+    products = []
+    mul = Matrix.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    assert spin(gens, [Q.one(), Q.zero()]).dim == 2
+    assert products == [swap]
 
 
 def test_prime_dividing_an_inverse_denominator_is_refused():

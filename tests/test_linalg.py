@@ -440,3 +440,27 @@ def test_intertwiner_space_dimension_extremes():
     assert everything.dim == 9 and everything == stacked_intertwiner_space([two, three], [two, three])
     nothing = intertwiner_space([two, two], [two, three])
     assert nothing.dim == 0 and nothing == stacked_intertwiner_space([two, two], [two, three])
+
+
+def test_full_echelon_add_does_not_reduce(monkeypatch):
+    from radonmono import linalg
+
+    spec = FieldSpec.cyclotomic(6)
+    vector = [spec.gen(), spec.from_int(2), spec.zero()]
+    calls = []
+    reduce = linalg._reduce
+
+    def counting_reduce(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(linalg, "_reduce", counting_reduce)
+    full = linalg._Echelon(Matrix.identity(spec, 3).entries)
+    calls.clear()
+    assert full.add(vector) is False
+    assert calls == []
+    # below full rank the vector is still reduced, and found in the span
+    partial = linalg._Echelon(Matrix.identity(spec, 3).entries[:2])
+    calls.clear()
+    assert partial.add(vector) is False
+    assert len(calls) == 1
