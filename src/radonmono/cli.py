@@ -112,8 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest group order to compute; the modular chain holds only orbits, "
         "so the cap bounds the order, not memory, unless --exact lists every element",
     )
-    p_group.add_argument("--primes", type=_int_list, default=None, help="comma separated modular primes")
-    p_group.add_argument("--exact", action="store_true", help="force the exact closure")
+    engine = p_group.add_mutually_exclusive_group()  # the exact closure uses no prime
+    engine.add_argument("--primes", type=_int_list, default=None, help="comma separated modular primes")
+    engine.add_argument("--exact", action="store_true", help="force the exact closure")
     return parser
 
 
@@ -167,8 +168,8 @@ def cmd_group(args) -> int:
                 enum = closure(group, cap=args.cap)
                 series = derived_series(enum)
                 analysis = {"order": enum.order, "derived_series": series, "solvable": series[-1] == 1}
-                if enum.gens:  # those that enlarged the enumeration generate the same group
-                    group = MatrixGroupGen(group.spec, group.degree, tuple(g.matrix for g in enum.gens))
+                if enum.matrices:  # those that enlarged the enumeration generate the same group
+                    group = MatrixGroupGen(group.spec, group.degree, tuple(enum.matrices))
             else:
                 primes = args.primes or default_modular_primes(group)
                 analysis = modular_group_analysis(group, primes, cap=args.cap)

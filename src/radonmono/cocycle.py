@@ -60,13 +60,8 @@ class TupleSpaces:
     """
 
     g: tuple[Matrix, ...]
-    n: int
-    r: int
     H: Subspace
     E: Subspace
-    dim_e: int
-    dim_h: int
-    dim_w: int
     conditions: Matrix
     middle: tuple[int, ...]
     complement: tuple[int, ...]
@@ -74,6 +69,26 @@ class TupleSpaces:
     coset: _Echelon = field(repr=False)  # [M_C | I], M_C the rows `complement` of M
     start: _Numerators = field(repr=False)  # g and its inverses as integer numerators
     moving: tuple[list[list[int]], int] = field(repr=False)  # the rows `middle` of H, likewise
+
+    @property
+    def n(self) -> int:
+        return self.g[0].rows
+
+    @property
+    def r(self) -> int:
+        return len(self.g)
+
+    @property
+    def dim_e(self) -> int:
+        return self.E.dim
+
+    @property
+    def dim_h(self) -> int:
+        return self.H.dim
+
+    @property
+    def dim_w(self) -> int:
+        return self.H.dim - self.E.dim
 
     def w_coordinates(self, rows: Sequence[Sequence[FieldElement]]) -> Matrix:
         """The middle dim_w entries of v T^-1 for each row v, T the flag basis.
@@ -172,7 +187,7 @@ def extend_basis(e: Subspace, h: Subspace, conditions: Matrix) -> tuple[tuple[in
 
 def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
     """Cocycle data of g together with the rows its greedy flag keeps."""
-    _, n = square_tuple_shape(g)
+    square_tuple_shape(g)
     conditions = _conditions(g)
     e, h = _coboundaries(g), kernel(conditions)
     if not (e.basis * conditions).is_zero():
@@ -185,13 +200,8 @@ def trafodat(g: Sequence[Matrix]) -> TupleSpaces:
     start = _Numerators(g)
     return TupleSpaces(
         g=tuple(g),
-        n=n,
-        r=len(g),
         H=h,
         E=e,
-        dim_e=e.dim,
-        dim_h=h.dim,
-        dim_w=h.dim - e.dim,
         conditions=conditions,
         middle=middle,
         complement=complement,

@@ -4,21 +4,22 @@ Two engines compute group orders.  The exact path (`closure`, the `--exact`
 command) enumerates every element breadth-first through the group's action
 on the row vectors it meets (Seress, *Permutation Group Algorithms*, 2003),
 over any FieldSpec.  Each distinct exact row gets an id, an element is the
-tuple of the ids of its rows, and a generator is a map of row ids, filled by
-one exact `Matrix` product per batch of new rows.  So an element times a
-generator is one lookup per row, field arithmetic is done once per distinct
-row and generator, and the derived series, whose words act by composed and
-inverted maps, does none.  `closure` returns that `_Enumeration` itself,
-which `derived_series` continues and `contains_scalar` reads.  The modular
-path keeps no element list: `chain.StabilizerChain` is a stabilizer chain of
-the group mod p, built by deterministic Schreier-Sims with numpy.  Both
+tuple of the ids of its rows, and every map is a list of row ids: an input
+generator's is filled by one exact `Matrix` product per batch of new rows,
+and the derived series composes and inverts whole permutations of the
+closed table.  So an element times a generator is one lookup per row, and
+field arithmetic is done once per distinct row and input generator.
+`closure` returns that `_Enumeration` itself, which `derived_series`
+continues and `contains_scalar` reads.  The modular path keeps no element
+list: `chain.StabilizerChain` is a stabilizer chain of the group mod p,
+built by deterministic Schreier-Sims with numpy.  Both
 offer `extend(words)`: it extends the group by the products of words of
 (x, x^-1) pairs, in order, a member changing nothing; the chain asks
 whether they are members in one batch.  So one derived series grows each
 derived subgroup in place, and no engine inverts a matrix: the chain forms
 the inverse of a new element from the inverses `MatrixGroupGen` forms on
-first read, and the enumeration inverts the row map of a complete group,
-so the exact path inverts nothing.
+first read, and the enumeration inverts permutations of its rows, so the
+exact path inverts nothing.
 Both raise CapExceeded exactly when the order exceeds the cap; that
 exception is the only way either reports the cap.
 
@@ -117,7 +118,7 @@ def _as_generators(gens) -> MatrixGroupGen:
 # `_derived_series` reads from `_Enumeration` or `chain.StabilizerChain` only
 # `order`, `gens`, `inverses`, `extend` and `trivial`, and hands `extend`
 # words of (x, x^-1) pairs, so one derived series serves both and inverts
-# nothing.
+# nothing; in the enumeration each x is a list of row ids.
 
 
 class _Rows:
@@ -161,65 +162,33 @@ class _Rows:
         return Matrix(spec, tuple(rows), cols=d)
 
 
-class _Action:
-    """A group element g as a map of row ids: `images[r]` is the id of row r times g.
-
-    The map is filled lazily, for a prefix of the ids, from one of three
-    sources: an input generator's `matrix`, by one exact product per batch of
-    rows; a word's `letters`, by composing their maps; or the map it inverts,
-    `inverse_of`, which must then permute the whole row table.
-    """
-
-    __slots__ = ("matrix", "letters", "inverse_of", "images")
-
-    def __init__(self, matrix: Matrix | None = None, letters=(), inverse_of: "_Action | None" = None):
-        self.matrix, self.letters, self.inverse_of = matrix, letters, inverse_of
-        self.images: list[int] = []
-
-    def cover(self, rows: _Rows, n: int) -> list[int]:
-        """`images`, filled at least for the ids below n."""
-        images = self.images
-        start = len(images)
-        if start >= n:
-            return images
-        if self.matrix is not None:
-            block = rows.matrix(range(start, n)) * self.matrix
-            images += map(rows.id, block.entries)
-        elif self.inverse_of is not None:
-            size = len(rows.keys)
-            forward = self.inverse_of.cover(rows, size)
-            assert len(forward) == len(rows.keys) == size, "the row table is not closed under the group"
-            images += [-1] * size
-            for r, s in enumerate(forward):
-                images[s] = r
-            assert -1 not in images, "the action is not a permutation of the rows"
-        else:
-            ids = range(start, n)
-            for x in self.letters:
-                step = x.cover(rows, max(ids) + 1)
-                ids = [step[r] for r in ids]
-            images += ids
-        return images
-
-
 class _Enumeration:
-    """All elements of the group generated by everything passed to `extend`.
+    """All elements of the group generated by the input generators and everything
+    passed to `extend`.
 
     An element g is the tuple of the ids of its rows e_i g in a `_Rows`
-    table shared with the subgroups `trivial` makes, so g times a generator
-    is one lookup per row in the generator's `_Action`, and field arithmetic
-    is done once per distinct row and generator.  `members` is the set of
-    the `order` elements; `elements` builds them as exact matrices on
-    request.  `gens` holds the maps of the generators that enlarged the
-    group, and `inverses` their inverse maps.  More than `cap` elements
-    raise CapExceeded.
+    table shared with the subgroups `trivial` makes, and a map x is the
+    list of ids with x[r] the id of row r times x, so g times x is one
+    lookup per row.  `members` is the set of the `order` elements;
+    `elements` builds them as exact matrices on request.  `gens` holds the
+    maps of the generators that enlarged the group, `inverses` their
+    inverses and, in a `closure` result, `matrices` the input generators
+    behind `gens`.  More than `cap` elements raise CapExceeded.
     """
 
-    def __init__(self, rows: _Rows, cap: int):
+    def __init__(self, rows: _Rows, cap: int, matrices: Sequence[Matrix] = ()):
         self.rows, self.cap = rows, cap
         self.members = {rows.identity}
-        self.gens: list[_Action] = []
-        self.inverses: list[_Action] = []
+        self.gens: list[list[int]] = []
+        self.matrices: list[Matrix] = []
+        for mat in matrices:
+            # the rows of a generator are its images of the identity's rows,
+            # ids 0 to d - 1, so a member costs no product
+            g = tuple(map(rows.id, mat.entries))
+            if g not in self.members:
+                self.matrices.append(mat)
+                self._add(g, list(g))
+        self.inverses: list[list[int]] = [self._inverse(x) for x in self.gens]  # the group is complete
 
     @property
     def order(self) -> int:
@@ -237,38 +206,56 @@ class _Enumeration:
         return _Enumeration(self.rows, self.cap)
 
     def extend(self, words) -> None:
-        """Extend the group by the product of each word, in order; see `_add`."""
+        """Extend the group by the product of each word of (x, x^-1) pairs, in order;
+        a member changes nothing.
+
+        Each x is a map that permutes the whole row table, which a complete
+        input group has closed.  A word is read on the identity's d rows
+        first, so a member costs d lookups per letter; only a new element's
+        map is composed on the whole table, and inverted.
+        """
         for word in words:
-            self._add(word)
+            g = self.rows.identity
+            for x, _ in word:
+                g = tuple([x[r] for r in g])
+            if g in self.members:
+                continue
+            (images, _), *rest = word
+            for x, _ in rest:
+                images = [x[r] for r in images]
+            self._add(g, images)
+            self.inverses.append(self._inverse(images))
 
-    def _add(self, word) -> None:
-        """Extend the group by g, the product of a word of (x, x^-1) pairs; a member changes nothing.
+    def _inverse(self, images: list[int]) -> list[int]:
+        """The inverse of a map that must permute the whole row table."""
+        assert len(images) == len(self.rows.keys), "the row table is not closed under the group"
+        inverse = [-1] * len(images)
+        for r, s in enumerate(images):
+            inverse[s] = r
+        assert -1 not in inverse, "the map is not a permutation of the rows"
+        return inverse
 
-        Only the maps x are read: the inverse of a new generator is its map
-        inverted, once the group is complete.  Every old element times g
-        seeds the search, and only the new elements it finds are multiplied
-        by all generators, so no old product is redone.
+    def _add(self, g: tuple[int, ...], images: list[int]) -> None:
+        """Extend the group by its new element g, whose map of rows is `images`.
+
+        Every old element times g seeds the search, and only the new
+        elements it finds are multiplied by all generators, so no old
+        product is redone.  An input generator's map is filled for the rows
+        it has not met by one exact product per batch.
         """
         rows, members = self.rows, self.members
-        letters = [x for x, _ in word]
-        g = rows.identity
-        for x in letters:
-            images = x.cover(rows, max(g, default=-1) + 1)
-            g = tuple([images[r] for r in g])
-        if g in members:
-            return
-        gen = letters[0] if len(letters) == 1 else _Action(letters=letters)
-        self.gens.append(gen)
-        self.inverses.append(_Action(inverse_of=gen))
-        frontier, step = list(members), [gen]
+        self.gens.append(images)
+        frontier, step = list(members), [len(self.gens) - 1]
         while True:
             # A row is first met as a row of a new element, so the frontier's
             # rows all have ids below `bound`, and the maps need no more.
             found, bound = [], len(rows.keys)
-            for gen in step:
-                images = gen.cover(rows, bound)
+            for k in step:
+                x = self.gens[k]
+                if len(x) < bound:  # unnamed, the product and its FieldElements are freed before the loop
+                    x += map(rows.id, (rows.matrix(range(len(x), bound)) * self.matrices[k]).entries)
                 for el in frontier:
-                    prod = tuple([images[r] for r in el])
+                    prod = tuple([x[r] for r in el])
                     size = len(members)
                     members.add(prod)  # hashes prod once; a member leaves the size
                     if len(members) == size:
@@ -278,7 +265,7 @@ class _Enumeration:
                     found.append(prod)
             if not found:
                 return
-            frontier, step = found, self.gens
+            frontier, step = found, range(len(self.gens))
 
 
 def _derived_series(group: _Enumeration | StabilizerChain) -> list[int]:
@@ -313,9 +300,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> _Enumeration:
     group = _as_generators(gens)
     if cap < 1:
         raise CapExceeded("cap must be >= 1")
-    enum = _Enumeration(_Rows(group.spec, group.degree), cap)
-    enum.extend([(_Action(matrix=g), None)] for g in group.generators)
-    return enum
+    return _Enumeration(_Rows(group.spec, group.degree), cap, group.generators)
 
 
 def contains_scalar(group: _Enumeration, lam: FieldElement) -> bool:

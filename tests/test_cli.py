@@ -170,6 +170,15 @@ def test_group_rejects_bad_primes_and_caps(bad):
     assert "error:" in err and "Traceback" not in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("order", ["exact-first", "primes-first"])
+def test_group_exact_refuses_primes(order):
+    # the exact closure uses no prime, so naming primes with it is a usage error
+    flags = ["--exact", "--primes", "7"] if order == "exact-first" else ["--primes", "7", "--exact"]
+    code, out, err = run_cli(["group", "--input", "fixture:zariski_c", *flags])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ") and "not allowed with argument" in err and "Traceback" not in err
+
+
 def test_group_modular_cap_exceeded_reported():
     code, out, err = run_cli(["group", "--input", "fixture:scalar_group", "--cap", "2"])
     assert code == 0, err
@@ -383,13 +392,14 @@ def test_long_braid_word_exits_2(tmp_path, capsys, four_lines_doc):
 def test_exact_group_on_zariski_cprime_stays_small(tmp_path):
     # the exact engine numbers the 240 distinct rows it meets and holds each of
     # the 155,520 elements as its 6 row ids, so this reads about 45 MB; holding
-    # every element as an exact matrix passed 761 MB after 5 minutes
+    # every element as an exact matrix passed 761 MB after 5 minutes, and as a
+    # whole permutation of the 240 rows it would take several hundred MB
     out = tmp_path / "group.json"
     argv = ["group", "--input", "fixture:zariski_cprime", "--exact", "--output", str(out)]
     wrapper = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True, text=True, check=True)
     group = json.loads(out.read_text())["group"]
     assert (group["status"], group["order"], group["derived_series"]) == ("complete", 155_520, [155_520, 51_840, 51_840])
-    assert float(wrapper.stdout) < 100
+    assert float(wrapper.stdout) < 60
 
 
 @pytest.mark.parametrize("mode", [["--exact"], []], ids=["exact", "modular"])

@@ -517,13 +517,15 @@ def test_stored_inverses_after_derived_series(monkeypatch):
     assert _derived_series(enum) == [24, 12, 4, 1]
     for sub in [enum, *subgroups]:
         assert sub.order == 1 or sub.gens
-        # each stored map and its inverse: exact matrices whose product is the
-        # identity, and row permutations that undo each other
+        # each stored map and its inverse: permutations of the whole row table
+        # that undo each other, whose identity rows make exact matrices with
+        # product the identity
         rows = sub.rows
+        every_row = list(range(len(rows.keys)))
         for g, g_inv in zip(sub.gens, sub.inverses, strict=True):
-            forward, backward = (a.cover(rows, len(rows.keys)) for a in (g, g_inv))
-            assert [backward[r] for r in forward] == list(range(len(rows.keys)))
-            as_matrix = [rows.matrix([a.images[r] for r in rows.identity]) for a in (g, g_inv)]
+            assert sorted(g) == sorted(g_inv) == every_row
+            assert [g_inv[r] for r in g] == [g[r] for r in g_inv] == every_row
+            as_matrix = [rows.matrix([a[r] for r in rows.identity]) for a in (g, g_inv)]
             assert (as_matrix[0] * as_matrix[1]).is_identity()
 
     p = 5
@@ -583,24 +585,43 @@ def test_chain_extend_matches_one_word_at_a_time(case, zariski_c_result):
 
 
 def test_enumeration_extend_matches_one_word_at_a_time():
-    from radonmono.group import _Action, _Enumeration, _Rows
-
-    group = MatrixGroupGen.from_matrices(s4_generators(GF7))
+    # words in the row permutations of a complete S4, whose table is closed
+    group = closure(s4_generators(GF7))
+    rows = list(group.rows.keys)
+    a, b = zip(group.gens, group.inverses, strict=True)
+    words = [[a, b], [b, a], [a], [a, a], [b], [a, b, a]]
     states = []
     for together in (True, False):
-        rows = _Rows(group.spec, group.degree)
-        a, b = ((_Action(matrix=g), None) for g in group.generators)
-        words = [[a, b], [b, a], [a], [a, a], [b], [a, b, a]]
-        enum = _Enumeration(rows, DEFAULT_CAP)
+        enum = group.trivial()
         if together:
             enum.extend(words)
         else:
             for word in words:
                 enum.extend([word])
-        maps = [x.cover(rows, len(rows.keys)) for x in (*enum.gens, *enum.inverses)]
-        states.append((enum.order, enum.members, len(enum.gens), maps, rows.keys))
+        states.append((enum.order, enum.members, enum.gens, enum.inverses))
     assert states[0] == states[1]
     assert states[0][0] == 24
+    assert group.rows.keys == rows
+
+
+def test_a_member_generator_costs_no_product(monkeypatch):
+    # g * g lies in the group g generates, and its own rows say so; g, of
+    # order 3, meets the row -e_0 - e_1, so its own closure takes a product
+    g = Matrix.from_ints(Q, [[0, 1], [-1, -1]])
+    g2 = g * g
+    products = []
+    mul = Matrix.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    alone = closure([g])
+    counted = len(products)
+    with_square = closure([g, g2])
+    assert counted > 0 and len(products) == 2 * counted
+    assert alone.order == with_square.order == 3 and with_square.matrices == [g]
 
 
 def test_each_schreier_generator_is_sifted_once(monkeypatch, zariski_cprime_result):
@@ -925,7 +946,7 @@ def test_decomposition_on_the_enlarging_generators(four_lines_doc):
     for name, doc in _exact_group_inputs(four_lines_doc).items():
         group = MatrixGroupGen.from_matrices(radon_transform(parse_fundamental_data(doc)).gtilde)
         enum = closure(group)
-        kept = [g.matrix for g in enum.gens]
+        kept = enum.matrices
         assert 0 < len(kept) <= len(group.generators), name
         assert invariant_decomposition(kept) == invariant_decomposition(group), name
         orders.setdefault(name.split("-")[0], set()).add(enum.order)
