@@ -99,7 +99,7 @@ class TupleSpaces:
         in H; reduced at the pivots of H against E, it keeps only b, at the
         positions J.  Returns a len(rows) x dim_w matrix.
         """
-        spec, m = self.conditions.spec, self.conditions.cols
+        spec, m, last = self.conditions.spec, self.conditions.cols, self.dim_h - 1
         pad = (spec.zero(),) * len(self.complement)
         images = Matrix.from_rows(spec, rows, cols=self.conditions.rows) * self.conditions
         out = []
@@ -109,7 +109,7 @@ class TupleSpaces:
             for i, a in zip(self.complement, tail):
                 h[i] = h[i] + a
             x = _reduce(self.modulo_e.rows, self.modulo_e.pivots, [h[p] for p in reversed(self.H.pivots)])
-            out.append([x[self.dim_h - 1 - j] for j in self.middle])
+            out.append([x[last - j] for j in self.middle])
         return Matrix.from_rows(spec, out, cols=self.dim_w)
 
 
@@ -227,23 +227,24 @@ def phibar(
     verify=True the basis rows of H and E are moved along and the stability
     of the cocycle and coboundary spaces is checked exactly.
     """
-    start, letters, h = ts.start, _word_letters(word, ts.r), ts.H.basis.entries
+    start, letters, h, dim_w = ts.start, _word_letters(word, ts.r), ts.H.basis.entries, ts.dim_w
     slots, den = start.slots([*(h[j] for j in ts.middle), *h, *ts.E.basis.entries]) if verify else ts.moving
     moving = [list(slots), den] if slots else None
     reached = start.move(letters, moving)
     target = tuple(g if a == a0 else start.matrix(a) for g, a0, a in zip(ts.g, start.gs, reached))
     moved = start.rows(*moving) if moving else []
     if verify:
-        _verify_stability(ts, moved[ts.dim_w :], target)
-    return ts.w_coordinates(moved[: ts.dim_w]), target
+        _verify_stability(ts, moved[dim_w:], target)
+    return ts.w_coordinates(moved[:dim_w]), target
 
 
 def _verify_stability(ts: TupleSpaces, moved: list[list[FieldElement]], target: Sequence[Matrix]):
     same = tuple(target) == ts.g
     h_target, e_target = (ts.H, ts.E) if same else (compute_H(target), compute_E(target))
-    for row in moved[: ts.dim_h]:
+    dim_h = ts.dim_h
+    for row in moved[:dim_h]:
         if not h_target.contains_vector(row):
             raise ShapeMismatch("cocycle space is not stable under the word")
-    for row in moved[ts.dim_h :]:
+    for row in moved[dim_h:]:
         if not e_target.contains_vector(row):
             raise ShapeMismatch("coboundary space is not stable under the word")
