@@ -181,9 +181,13 @@ class StabilizerChain:
             self._grow_orbit(level, s, s_inv)
 
     def _grow_orbit(self, level: _Level, s: np.ndarray, s_inv: np.ndarray) -> None:
-        """Breadth-first: the whole orbit by the new generator s, then only new points by all."""
+        """Breadth-first: the whole orbit by the new generator s, then only new points by all;
+        a level that s alone generates grows its cycle by doubling (`_grow_cycle`)."""
         p, points = self.p, level.points
         room = self.cap // (self.order // len(points))  # the longest orbit within the cap
+        if len(level.gens) == 1 and len(points) == 1:
+            self._grow_cycle(level, s, s_inv, room)
+            return
         frontier, frontier_inv = level.u, level.u_inv
         chunks, chunks_inv = [level.u], [level.u_inv]
         step = [(s, s_inv)]
@@ -212,6 +216,35 @@ class StabilizerChain:
             chunks_inv.append(frontier_inv)
             step = list(zip(level.gens, level.inverses))
         level.u, level.u_inv = np.concatenate(chunks), np.concatenate(chunks_inv)
+
+    def _grow_cycle(self, level: _Level, s: np.ndarray, s_inv: np.ndarray, room: int) -> None:
+        """The orbit of e_base under s alone, by doubling.
+
+        Breadth-first search would meet the points e_base s^k one per round,
+        in order of k.  Here the transversal u = (s^0, ..., s^(2^j - 1)) is
+        extended by the whole block u s^(2^j), cut at its first known point:
+        a cycle first repeats at e_base.  The points and transversals come out
+        exactly as breadth-first search leaves them.
+        """
+        p, points = self.p, level.points
+        u, u_inv = level.u, level.u_inv
+        power, power_inv = s, s_inv
+        while True:
+            block = u @ power % p
+            keys = self._keys(block[:, level.base])
+            if points.keys().isdisjoint(keys):
+                new = len(keys)
+            else:
+                new = next(i for i, key in enumerate(keys) if key in points)
+            if len(points) + new > room:
+                raise CapExceeded(f"group order exceeded the cap of {self.cap}")
+            points.update(zip(keys[:new], itertools.count(len(points))))
+            u = np.concatenate([u, block[:new]])
+            u_inv = np.concatenate([u_inv, power_inv @ u_inv[:new] % p])
+            if new < len(keys):
+                break
+            power, power_inv = power @ power % p, power_inv @ power_inv % p
+        level.u, level.u_inv = u, u_inv
 
     def _complete(self, i: int) -> None:
         """Complete levels i, ..., 0, given that the levels below i are complete."""

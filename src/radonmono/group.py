@@ -23,6 +23,19 @@ exact path inverts nothing.
 Both raise CapExceeded exactly when the order exceeds the cap; that
 exception is the only way either reports the cap.
 
+Generator validation and the invariant decomposition first bound what they
+compute modulo one prime (`_Bounds`): over GF(p) the field's own p, else
+the smallest odd p = 1 mod m (m = 1 over Q) that divides no denominator of
+the tuple, so every entry is p-integral.  Reducing a p-integral matrix can
+only lower its rank, so spin_p <= spin, rank_p <= rank, fixed_p >= fixed
+and End_p >= End >= 1, and a bound at its extreme value is the exact value
+(the Meat-Axe certificate).  A generator of rank d mod p is invertible; a
+standard seed spin of d, `fixed_dim` 0, `moving_dim` d and
+`moving_endomorphism_dim` 1 are read off the bounds.  Only what a bound
+leaves open is eliminated exactly, by the same routines as without the
+bounds, so the prime decides how often a bound settles a value and never
+the output.
+
 For cyclotomic or rational generators the modular path maps the root of unity
 to an element of the same order in GF(p) for an odd prime p = 1 mod m,
 works mod p, and requires agreement across distinct primes.  A prime that
@@ -34,6 +47,7 @@ finite group is exact.  Over GF(p) the only prime is p; the chain is exact.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -86,7 +100,9 @@ DEFAULT_CAP = 500_000
 @dataclass(frozen=True)
 class MatrixGroupGen:
     """A finite list of invertible generators of a matrix group; their inverses
-    are formed when first read, which only the modular path does."""
+    are formed when first read, which only the modular path does, and their
+    reduction mod a prime (`_bounds`) when validation or the decomposition
+    first reads it."""
 
     spec: FieldSpec
     degree: int
@@ -94,17 +110,26 @@ class MatrixGroupGen:
 
     @classmethod
     def from_matrices(cls, gens: Sequence[Matrix]) -> "MatrixGroupGen":
-        """Generators of full rank; a repeated generator keeps its first occurrence only."""
+        """Generators of full rank; a repeated generator keeps its first occurrence only.
+
+        A generator of rank d mod p is invertible; only a generator that is
+        singular mod p is eliminated exactly.
+        """
         spec, d = square_tuple_shape(gens)
-        gens = tuple(dict.fromkeys(gens))
-        for g in gens:
-            if len(_Echelon(g.entries).rows) < d:
+        group = cls(spec, d, tuple(dict.fromkeys(gens)))
+        bounds = group._bounds
+        for g, reduced in zip(group.generators, bounds.mats):
+            if bounds.rank(reduced) < d and len(_Echelon(g.entries).rows) < d:
                 raise NonInvertibleGenerator("generator is singular")
-        return cls(spec, d, gens)
+        return group
 
     @cached_property
     def inverses(self) -> tuple[Matrix, ...]:
         return tuple(g.inverse() for g in self.generators)
+
+    @cached_property
+    def _bounds(self) -> "_Bounds":
+        return _Bounds(self.generators)
 
 
 def _as_generators(gens) -> MatrixGroupGen:
@@ -382,34 +407,163 @@ def restricted_tuple(gens, space: Subspace) -> list[Matrix]:
 
 
 def invariant_decomposition(gens) -> dict:
-    """Summary of the fixed line / moving summand decomposition by spinning."""
+    """Summary of the fixed line / moving summand decomposition by spinning.
+
+    Each value is first bounded over GF(p) by `_Bounds`, at a prime that
+    divides no denominator of the tuple: spin_p <= spin, fixed_p >= fixed,
+    moving_p <= moving and End_p >= End >= 1.  A bound at its extreme value
+    is the exact value, so a standard seed's spin dim of d, `fixed_dim` 0,
+    `moving_dim` d, `decomposes` when both of those hold, and
+    `moving_endomorphism_dim` 1 cost no exact elimination; nor does a seed
+    whose bound is the dimension of the exact fixed or moving space that
+    contains it.  Every other value comes from the exact routines
+    (`spin`, `fixed_subspace`, `moving_subspace`, `restricted_tuple`,
+    `intertwiner_space`); when 0 < moving < d the restricted tuple is
+    bounded the same way at its own prime.
+    """
     group = _as_generators(gens)
     d, spec = group.degree, group.spec
-    seed_dims = [spin(group, s).dim for s in Matrix.identity(spec, d).entries]
-    fixed = fixed_subspace(group)
-    moving = moving_subspace(group)
+    bounds = group._bounds
+    p = bounds.p
+    less_one = [[[(x - (i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(g)] for g in bounds.mats]
+    # fixed_p = d - the rank of the rows of hstack(g - 1); moving_p spins the rows of vstack(g - 1)
+    fixed = fixed_subspace(group) if bounds.rank([sum(rows, []) for rows in zip(*less_one)]) < d else None
+    moving = moving_subspace(group) if bounds.spin([row for g in less_one for row in g]) < d else None
+    fixed_dim = 0 if fixed is None else fixed.dim
+    moving_dim = d if moving is None else moving.dim
+    held = [space for space in (fixed, moving) if space is not None]
+    seed_dims = []
+    for j, seed in enumerate(Matrix.identity(spec, d).entries):
+        bound = bounds.spin([_unit(d, j)])
+        if bound != d and not any(bound == space.dim and space.contains_vector(seed) for space in held):
+            bound = spin(group, seed).dim
+        seed_dims.append(bound)
     summary = {
         "standard_seed_spin_dims": seed_dims,
-        "fixed_dim": fixed.dim,
-        "moving_dim": moving.dim,
-        # fixed + moving = V and fixed meets moving in 0: both dims add up to d
-        "decomposes": subspace_sum(fixed, moving).dim == d == fixed.dim + moving.dim,
+        "fixed_dim": fixed_dim,
+        "moving_dim": moving_dim,
+        # fixed + moving = V and fixed meets moving in 0: both dims add up to d;
+        # a space settled by its bound is 0 (fixed) or V (moving), and then so is their sum
+        "decomposes": fixed_dim + moving_dim == d
+        and (fixed is None or moving is None or subspace_sum(fixed, moving).dim == d),
         "moving_irreducible_by_spinning": None,
         "moving_endomorphism_dim": None,
     }
-    if 0 < moving.dim == d:
+    if 0 < moving_dim == d:
         # the moving space is V: its coordinates are the standard ones, already spun
         summary["moving_irreducible_by_spinning"] = all(dim == d for dim in seed_dims)
-        summary["moving_endomorphism_dim"] = intertwiner_space(group.generators, group.generators).dim
-    elif moving.dim:
+        summary["moving_endomorphism_dim"] = _endomorphism_dim(group.generators, bounds)
+    elif moving_dim:
         # spun in the moving space's own coordinates, whose rows are shorter than ambient ones
         sub = restricted_tuple(group, moving)
-        seeds = Matrix.identity(spec, moving.dim).entries
+        sub_bounds = _Bounds(sub)
         summary["moving_irreducible_by_spinning"] = all(
-            _spin(sub, Subspace.from_rows(spec, moving.dim, [s])).dim == moving.dim for s in seeds
+            sub_bounds.spin([_unit(moving_dim, j)]) == moving_dim
+            or _spin(sub, Subspace.from_rows(spec, moving_dim, [s])).dim == moving_dim
+            for j, s in enumerate(Matrix.identity(spec, moving_dim).entries)
         )
-        summary["moving_endomorphism_dim"] = intertwiner_space(sub, sub).dim
+        summary["moving_endomorphism_dim"] = _endomorphism_dim(sub, sub_bounds)
     return summary
+
+
+def _endomorphism_dim(mats: Sequence[Matrix], bounds: "_Bounds") -> int:
+    # End >= 1 always holds (the scalars), so a bound of 1 is exact
+    return 1 if bounds.endomorphism_dim() == 1 else intertwiner_space(mats, mats).dim
+
+
+def _unit(n: int, j: int) -> list[int]:
+    return [int(i == j) for i in range(n)]
+
+
+class _Bounds:
+    """A tuple of d x d matrices reduced mod a prime p, and one-sided bounds on exact dimensions.
+
+    Over GF(p) p is the field's own.  Over Q and Q(zeta_m) it is the
+    smallest odd p = 1 mod m (m = 1 over Q) that divides no denominator of
+    an entry, so every entry is p-integral and reduction, with zeta_m sent
+    to `root_of_unity_modp(m, p)`, is a ring map.  Reducing a p-integral
+    matrix can only lower its rank, so over GF(p) a spin, a rank and a
+    kernel dimension bound the exact ones: spin_p <= spin, rank_p <= rank
+    and End_p >= End, and a bound at its extreme value is exact (the Meat-Axe
+    certificate; Holt-Eick-O'Brien, *Handbook of Computational Group
+    Theory*, 2005, ch. 7).  Vectors are int lists, eliminated forward only.
+    """
+
+    def __init__(self, mats: Sequence[Matrix]):
+        spec = mats[0].spec
+        if spec.kind == "prime":
+            p, root = spec.p, None
+        else:
+            m = spec.m if spec.kind == "cyclotomic" else 1
+            dens = {e.den for g in mats for row in g.entries for e in row}
+            step = m if m % 2 == 0 else 2 * m  # p - 1 is even and a multiple of m
+            p = 1 + step
+            while not is_prime(p) or any(den % p == 0 for den in dens):
+                p += step
+            root = root_of_unity_modp(m, p)
+        self.p, self.degree = p, mats[0].rows
+        self.mats = [[[reduce_element_modp(e, p, root) for e in row] for row in g.entries] for g in mats]
+        self.columns = [list(zip(*g)) for g in self.mats]
+
+    def _grows(self, echelon: dict[int, list[int]], v: Sequence[int]) -> bool:
+        """Reduce v by the rows of `echelon`, each held from its leading one on and keyed
+        by that column; keep what is left if it is nonzero."""
+        p = self.p
+        v = list(v)
+        for j in range(len(v)):
+            f = v[j]
+            if f:
+                row = echelon.get(j)
+                if row is None:
+                    inv = pow(f, -1, p)
+                    echelon[j] = [x * inv % p for x in v[j:]]
+                    return True
+                v[j:] = [(a - f * b) % p for a, b in zip(v[j:], row)]
+        return False
+
+    def rank(self, rows: Sequence[list[int]]) -> int:
+        """The rank of int rows with entries in 0..p-1."""
+        echelon: dict[int, list[int]] = {}
+        for row in rows:
+            if self._grows(echelon, row) and len(echelon) == len(row):
+                break
+        return len(echelon)
+
+    def spin(self, seeds: Sequence[list[int]]) -> int:
+        """The dimension of the smallest subspace that holds the seeds and that every
+        reduced matrix maps into itself."""
+        p, n = self.p, self.degree
+        echelon: dict[int, list[int]] = {}
+        layer = [v for v in seeds if self._grows(echelon, v)]
+        while layer and len(echelon) < n:
+            grown = []
+            for columns in self.columns:
+                for v in layer:
+                    image = [sum(map(operator.mul, v, col)) % p for col in columns]
+                    if self._grows(echelon, image):
+                        if len(echelon) == n:
+                            return n
+                        grown.append(image)
+            layer = grown
+        return len(echelon)
+
+    def endomorphism_dim(self) -> int:
+        """The dimension of the matrices T with T*g = g*T for every reduced g: the kernel
+        of the stacked equations, which the identity solves, so it stops at rank d*d - 1."""
+        p, d = self.p, self.degree
+        n = d * d
+        echelon: dict[int, list[int]] = {}
+        for g in self.mats:
+            for r in range(d):
+                for c in range(d):
+                    # entry (r, c) of T*g - g*T in the unknowns T[x][y] at x*d + y
+                    v = [0] * n
+                    for s in range(d):
+                        v[r * d + s] += g[s][c]
+                        v[s * d + c] -= g[r][s]
+                    if self._grows(echelon, [x % p for x in v]) and len(echelon) == n - 1:
+                        return 1
+        return n - len(echelon)
 
 
 # -- modular fast path -------------------------------------------------------------

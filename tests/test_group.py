@@ -426,6 +426,62 @@ def test_chain_cap_boundary_on_several_levels(zariski_cprime_result):
         modular_group_analysis(gens, [7], cap=155_519)
 
 
+def _shear_level_by_breadth_first_search(p):
+    """The orbit of e_0 under the shear s = [[1, 1], [0, 1]] mod p, one point per round:
+    its points in the order met, with the transversal and its inverses as nested lists."""
+
+    def times(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(2)) % p for j in range(2)] for i in range(2)]
+
+    s, s_inv = [[1, 1], [0, 1]], [[1, p - 1], [0, 1]]
+    u, u_inv = [[[1, 0], [0, 1]]], [[[1, 0], [0, 1]]]
+    points, seen = [[1, 0]], {(1, 0)}
+    frontier = [0]
+    while frontier:
+        found = []
+        for i in frontier:
+            image = times(u[i], s)
+            if tuple(image[0]) not in seen:
+                seen.add(tuple(image[0]))
+                points.append(image[0])
+                u.append(image)
+                u_inv.append(times(s_inv, u_inv[i]))
+                found.append(len(u) - 1)
+        frontier = found
+    return points, u, u_inv
+
+
+@pytest.mark.parametrize("p", [263, 65537])
+def test_cyclic_orbit_grows_by_doubling(p, monkeypatch):
+    import numpy as np
+
+    from radonmono.chain import StabilizerChain
+
+    points, u, u_inv = _shear_level_by_breadth_first_search(p)
+    keyed = []
+    keys = StabilizerChain._keys
+
+    def counting_keys(self, vectors):
+        keyed.append(len(vectors))
+        return keys(self, vectors)
+
+    monkeypatch.setattr(StabilizerChain, "_keys", counting_keys)
+    s = np.array([[1, 1], [0, 1]])
+    chain = StabilizerChain(p, 2, DEFAULT_CAP, [(s, np.array([[1, p - 1], [0, 1]]))])
+    (level,) = chain.levels
+    assert chain.order == p and level.base == 0
+    assert list(level.points.values()) == list(range(p))
+    assert list(level.points) == keys(chain, np.array(points))
+    assert level.u.tolist() == u and level.u_inv.tolist() == u_inv
+    # one key batch per doubling, not one per point
+    assert len(keyed) < 3 * p.bit_length()
+    monkeypatch.undo()
+    gen = Matrix.from_ints(FieldSpec.prime(p), [[1, 1], [0, 1]])
+    assert modular_group_analysis([gen], [p], cap=p)["derived_series"] == [p, 1]
+    with pytest.raises(CapExceeded):
+        modular_group_analysis([gen], [p], cap=p - 1)
+
+
 def test_import_leaves_numpy_unloaded():
     # neither the import nor the exact CLI paths load numpy: only the chain does
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -491,6 +547,28 @@ def test_singular_generator_is_refused_on_both_paths(spec):
     primes = [spec.p] if spec.kind == "prime" else [7, 13]
     with pytest.raises(NonInvertibleGenerator, match="generator is singular"):
         modular_group_analysis(gens, primes)
+
+
+@pytest.mark.parametrize("spec", [Q, Q6], ids=lambda s: s.label())
+def test_generator_singular_mod_p_is_accepted(spec, monkeypatch):
+    # diag(1, p) at the prime the rank bound picks (3 over Q, 7 over Q(zeta_6)) is singular
+    # mod p but invertible over the field: only it is eliminated exactly, and it is kept
+    from radonmono import linalg
+
+    p = 3 if spec == Q else 7
+    gens = [permutation_matrix(spec, (1, 0)), Matrix.diagonal(spec, [spec.one(), spec.from_int(p)])]
+    eliminated = []
+    echelon_init = linalg._Echelon.__init__
+
+    def recording_init(self, rows=()):
+        rows = list(rows)
+        eliminated.append(rows)
+        echelon_init(self, rows)
+
+    monkeypatch.setattr(linalg._Echelon, "__init__", recording_init)
+    group = MatrixGroupGen.from_matrices(gens)
+    assert group.generators == tuple(gens) and group._bounds.p == p
+    assert eliminated == [list(gens[1].entries)]
 
 
 def _record_subgroups(monkeypatch, engine):
@@ -767,30 +845,37 @@ def conjugated(gens, spec, seed):
     return [p_inv * g * p for g in gens], p
 
 
-def two_plus_two():
-    """Two 2-dimensional summands of order-6 groups over Q(zeta_6), mixed by a generic base change."""
-    z, one, zero = Q6.gen(), Q6.one(), Q6.zero()
+def root_of_unity(spec):
+    """zeta_6 in Q(zeta_6), 3 (of order 6) in GF(7), and -1 in Q."""
+    if spec.kind == "cyclotomic":
+        return spec.gen()
+    return spec.from_int(3 if spec.kind == "prime" else -1)
+
+
+def two_plus_two(spec=Q6, seed=3):
+    """Two 2-dimensional summands of groups made from a root of unity z, mixed by a generic base change."""
+    z, one, zero = root_of_unity(spec), spec.one(), spec.zero()
     a = Matrix.from_rows(
-        Q6, [[z, zero, zero, zero], [zero, one, zero, zero], [zero, zero, zero, one], [zero, zero, one, zero]]
+        spec, [[z, zero, zero, zero], [zero, one, zero, zero], [zero, zero, zero, one], [zero, zero, one, zero]]
     )
     b = Matrix.from_rows(
-        Q6, [[zero, one, zero, zero], [one, zero, zero, zero], [zero, zero, z, zero], [zero, zero, zero, z**2]]
+        spec, [[zero, one, zero, zero], [one, zero, zero, zero], [zero, zero, z, zero], [zero, zero, zero, z**2]]
     )
-    return conjugated([a, b], Q6, 3)
+    return conjugated([a, b], spec, seed)
 
 
-def reflections_with_fixed_line():
-    """Two pseudo-reflections I + a^T b of order 6 over Q(zeta_6); both fix the row vector e_3, conjugated."""
-    z, one, zero = Q6.gen(), Q6.one(), Q6.zero()
+def reflections_with_fixed_line(spec=Q6, seed=5):
+    """Two pseudo-reflections I + a^T b of determinant z, a root of unity; both fix the row vector e_3, conjugated."""
+    z, one, zero = root_of_unity(spec), spec.one(), spec.zero()
 
     def pseudo_reflection(a, b):
         return Matrix.from_rows(
-            Q6, [[(one if i == j else zero) + a[i] * b[j] for j in range(3)] for i in range(3)]
+            spec, [[(one if i == j else zero) + a[i] * b[j] for j in range(3)] for i in range(3)]
         )
 
     r1 = pseudo_reflection([one, zero, zero], [z - 1, one, one])
     r2 = pseudo_reflection([zero, one, zero], [one, z - 1, zero])
-    return conjugated([r1, r2], Q6, 5)
+    return conjugated([r1, r2], spec, seed)
 
 
 @pytest.mark.parametrize("make", [two_plus_two, reflections_with_fixed_line])
@@ -830,13 +915,67 @@ ZERO_W_DOC = {
         lambda: [Matrix.from_ints(GF7, [[0, -1], [1, -1]]), Matrix.from_ints(GF7, [[0, 1], [1, 0]])],
         lambda: [scalar_matrix(Q6, Q6.gen(), 3)],
         lambda: list(radon_transform(parse_fundamental_data(ZERO_W_DOC)).gtilde),
+        # bounds mod p that are not extremal at the prime the decomposition picks (3 over Q,
+        # 7 over Q(zeta_6)): a generator = 1 mod 3 that is not 1 (fixed_p 1, moving_p 1, End_p 2) ...
+        lambda: [Matrix.diagonal(Q, [Q.one(), Q.from_int(4)]), permutation_matrix(Q, (1, 0))],
+        # ... the non-semisimple shear (fixed 1, moving 1, no decomposition) ...
+        lambda: [Matrix.from_ints(Q, [[1, 1], [0, 1]])],
+        # ... a fixed line next to a moving plane that is two lines (no restricted seed spins to it) ...
+        lambda: [Matrix.diagonal(GF7, [GF7.from_int(1), GF7.from_int(3), GF7.from_int(5)])],
+        # ... End 2, and a fixed line with a moving plane, over three fields
+        *(lambda spec=spec: two_plus_two(spec, seed=11)[0] for spec in (GF7, Q, Q6)),
+        *(lambda spec=spec: reflections_with_fixed_line(spec, seed=13)[0] for spec in (GF7, Q, Q6)),
     ],
-    ids=["two_plus_two", "reflections_with_fixed_line", "swap", "s3_gf7", "scalar", "zero_module"],
+    ids=[
+        "two_plus_two",
+        "reflections_with_fixed_line",
+        "swap",
+        "s3_gf7",
+        "scalar",
+        "zero_module",
+        "one_mod_p_next_to_swap",
+        "shear",
+        "fixed_line_next_to_two_lines",
+        *(f"two_plus_two_seeded_{s.label()}" for s in (GF7, Q, Q6)),
+        *(f"reflections_with_fixed_line_seeded_{s.label()}" for s in (GF7, Q, Q6)),
+    ],
 )
 def test_decomposition_with_and_without_the_moving_space_shortcut(make):
     gens = make()
     deco = invariant_decomposition(gens)
     assert deco == decomposition_by_restriction(gens)
+
+
+def test_bounds_settle_zariski_cprime_without_exact_elimination(zariski_cprime_result, monkeypatch):
+    # every bound is extremal on zariski_cprime's tuple; End 2 on the 2 + 2 module is not
+    from radonmono import group as group_module
+    from radonmono import linalg
+
+    reducible = two_plus_two()[0]
+    calls = []
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(linalg._Echelon, "add", counting("_Echelon.add", linalg._Echelon.add))
+    monkeypatch.setattr(group_module, "_spin", counting("_spin", group_module._spin))
+    monkeypatch.setattr(group_module, "intertwiner_space", counting("intertwiner_space", intertwiner_space))
+    group = MatrixGroupGen.from_matrices(list(zariski_cprime_result.gtilde))
+    assert invariant_decomposition(group) == {
+        "standard_seed_spin_dims": [4, 4, 4, 4],
+        "fixed_dim": 0,
+        "moving_dim": 4,
+        "decomposes": True,
+        "moving_irreducible_by_spinning": True,
+        "moving_endomorphism_dim": 1,
+    }
+    assert calls == []
+    assert invariant_decomposition(reducible)["moving_endomorphism_dim"] == 2
+    assert "intertwiner_space" in calls
 
 
 def test_decomposition_shortcut_is_taken_and_skipped():
