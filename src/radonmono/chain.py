@@ -224,7 +224,8 @@ class StabilizerChain:
         in order of k.  Here the transversal u = (s^0, ..., s^(2^j - 1)) is
         extended by the whole block u s^(2^j), cut at its first known point:
         a cycle first repeats at e_base.  The points and transversals come out
-        exactly as breadth-first search leaves them.
+        exactly as breadth-first search leaves them.  As u_x s = u_{x+1}, only
+        the last point's Schreier generator, s^N, can differ from 1: only it is sifted.
         """
         p, points = self.p, level.points
         u, u_inv = level.u, level.u_inv
@@ -245,6 +246,7 @@ class StabilizerChain:
                 break
             power, power_inv = power @ power % p, power_inv @ power_inv % p
         level.u, level.u_inv = u, u_inv
+        level.unsifted = (np.arange(len(u)) == len(u) - 1)[None]
 
     def _complete(self, i: int) -> None:
         """Complete levels i, ..., 0, given that the levels below i are complete."""

@@ -35,7 +35,8 @@ from .braid import BraidWord, _Numerators, _word_letters
 from .braid import act_on_tuple  # noqa: F401  (perfbench's tracer looks the action up here)
 from .errors import ProductNotIdentity, ShapeMismatch
 from .field import FieldElement
-from .linalg import Matrix, Subspace, _Echelon, _reduce, hstack, image, kernel, product_of, square_tuple_shape
+from .linalg import Matrix, Subspace, _Echelon, _reduce, hstack, image, kernel, minus_identity, product_of
+from .linalg import square_tuple_shape
 from .linalg import intersect  # noqa: F401  (perfbench's tracer looks the intersection up here)
 
 __all__ = [
@@ -127,12 +128,11 @@ def _conditions(g: Sequence[Matrix]) -> Matrix:
     product is checked as g_1 times the first suffix product.
     """
     n, r, spec = g[0].rows, len(g), g[0].spec
-    ident = Matrix.identity(spec, n)
-    suffix = [ident] * r
+    suffix = [Matrix.identity(spec, n)] * r
     for i in range(r - 2, -1, -1):
         suffix[i] = g[i + 1] * suffix[i + 1]
     _check_product(g[0] * suffix[0])
-    fixed = [kernel(Matrix(spec, tuple(zip(*(gi - ident).entries)), cols=n)).basis.entries for gi in g]
+    fixed = [kernel(Matrix(spec, tuple(zip(*minus_identity(gi).entries)), cols=n)).basis.entries for gi in g]
     width = sum(len(f) for f in fixed)
     zero = spec.zero()
     rows, offset = [], 0
@@ -146,8 +146,7 @@ def _conditions(g: Sequence[Matrix]) -> Matrix:
 
 
 def _coboundaries(g: Sequence[Matrix]) -> Subspace:
-    ident = Matrix.identity(g[0].spec, g[0].rows)
-    return image(hstack([gi - ident for gi in g]))
+    return image(hstack([minus_identity(gi) for gi in g]))
 
 
 def compute_H(g: Sequence[Matrix]) -> Subspace:

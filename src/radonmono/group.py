@@ -38,10 +38,11 @@ the output.
 
 For cyclotomic or rational generators the modular path maps the root of unity
 to an element of the same order in GF(p) for an odd prime p = 1 mod m,
-works mod p, and requires agreement across distinct primes.  A prime that
-divides a denominator of a generator or its inverse is refused; for other
-p > 2 the reduction is injective on finite groups, so the modular order of a
-finite group is exact.  Over GF(p) the only prime is p; the chain is exact.
+works mod p, and requires agreement across distinct primes; a derived series
+is built only once the orders and scalars agree.  A prime that divides a
+denominator of a generator or its inverse is refused; for other p > 2 the
+reduction is injective on finite groups, so the modular order of a finite
+group is exact.  Over GF(p) the only prime is p; the chain is exact.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .linalg import (
     image,
     intertwiner_space,
     kernel,
+    minus_identity,
     square_tuple_shape,
     subspace_sum,
     vstack,
@@ -380,9 +382,7 @@ def _spin(generators: Sequence[Matrix], seed_space: Subspace) -> Subspace:
 
 def fixed_subspace(gens) -> Subspace:
     """Common fixed vectors of all generators."""
-    group = _as_generators(gens)
-    ident = Matrix.identity(group.spec, group.degree)
-    return kernel(hstack([g - ident for g in group.generators]))
+    return kernel(hstack([minus_identity(g) for g in _as_generators(gens).generators]))
 
 
 def moving_subspace(gens) -> Subspace:
@@ -393,8 +393,7 @@ def moving_subspace(gens) -> Subspace:
     of the fixed subspace.
     """
     group = _as_generators(gens)
-    ident = Matrix.identity(group.spec, group.degree)
-    return spin_subspace(group, image(vstack([g - ident for g in group.generators])))
+    return spin_subspace(group, image(vstack([minus_identity(g) for g in group.generators])))
 
 
 def restricted_tuple(gens, space: Subspace) -> list[Matrix]:
@@ -641,11 +640,8 @@ def _modp_entry(group: MatrixGroupGen, p: int, cap: int, with_derived: bool) -> 
     from .chain import StabilizerChain  # numpy and the chain load here: the exact path never does
 
     chain = StabilizerChain(p, group.degree, cap, zip(reduced, inverses))
-    entry = {
-        "prime": p,
-        "order": chain.order,
-        "scalar_exponents": _modp_scalar_exponents(chain, group.spec, root),
-    }
+    scalars = _modp_scalar_exponents(chain, group.spec, root)
+    entry = {"chain": chain, "order": chain.order, "scalar_exponents": scalars}
     if with_derived:
         entry["derived_series"] = _derived_series(chain)
     return entry
@@ -663,7 +659,9 @@ def modular_group_analysis(
     products are exact; over Q and Q(zeta_m) they must be odd primes, over
     GF(p) the only prime is p.  A prime dividing a denominator of a generator
     raises BadPrime, and of an inverse NonInvertibleGenerator.  Raises
-    OrderDisagreement when the primes disagree on any computed value.
+    OrderDisagreement when the primes disagree on any computed value: on the
+    order, then the scalar exponents, then the derived series, which is built
+    only when that comparison or the result reads it.
     """
     group = _as_generators(gens)
     if not primes:
@@ -675,21 +673,21 @@ def modular_group_analysis(
             raise BadPrime(f"{p} is not an odd prime")
         if group.degree * (p - 1) ** 2 >= 2**63:
             raise BadPrime(f"{p} is too large for int64 products in degree {group.degree}")
-    per_prime = [_modp_entry(group, p, cap, with_derived) for p in primes]
+    per_prime = [_modp_entry(group, p, cap, with_derived=False) for p in primes]
+
+    def value(entry: dict, key: str):  # a derived series is built on its first read
+        if key not in entry:
+            entry[key] = _derived_series(entry["chain"])
+        return entry[key]
+
     first = per_prime[0]
     for other in per_prime[1:]:
-        for key in ("order", "scalar_exponents", "derived_series"):
-            if key in first and first.get(key) != other.get(key):
-                raise OrderDisagreement(
-                    f"primes disagree on {key}: {first.get(key)} vs {other.get(key)}"
-                )
-    result = {
-        "primes": list(primes),
-        "order": first["order"],
-        "scalar_exponents": first["scalar_exponents"],
-    }
+        for key in ("order", "scalar_exponents", "derived_series")[: 3 if with_derived else 2]:
+            if value(first, key) != value(other, key):
+                raise OrderDisagreement(f"primes disagree on {key}: {first[key]} vs {other[key]}")
+    result = {"primes": list(primes), "order": first["order"], "scalar_exponents": first["scalar_exponents"]}
     if with_derived:
-        result["derived_series"] = first["derived_series"]
+        result["derived_series"] = value(first, "derived_series")
         result["solvable"] = first["derived_series"][-1] == 1
     return result
 

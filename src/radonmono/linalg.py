@@ -294,6 +294,14 @@ def product_of(mats: Sequence[Matrix]) -> Matrix:
     return out
 
 
+def minus_identity(mat: Matrix) -> Matrix:
+    """mat - 1, a square mat's own off-diagonal entries with one subtracted on the diagonal only."""
+    if not mat.is_square():
+        raise ShapeMismatch(f"{mat.rows}x{mat.cols} - 1 needs a square matrix")
+    rows = (row[:i] + (row[i] - mat.spec.one(),) + row[i + 1 :] for i, row in enumerate(mat.entries))
+    return Matrix(mat.spec, tuple(rows), cols=mat.cols)
+
+
 class Subspace:
     """A subspace of k^n held as a reduced row echelon basis (canonical)."""
 

@@ -114,6 +114,7 @@ def validate(fd: FundamentalData) -> ValidationReport:
     Shape and strand violations raise; a failing stability relation (the
     tuple not being fixed by some word) only warns, since arbitrary matrix
     tuples need not satisfy the relations that geometric data always do.
+    Each distinct word acts once, and warns at every position it holds.
     """
     _check_shapes(fd)
     words = fd.words()  # raises StrandOutOfRange on bad letters
@@ -121,7 +122,8 @@ def validate(fd: FundamentalData) -> ValidationReport:
     warnings = [] if product_ok else ["ordered product of the monodromy tuple is not the identity"]
     report = ValidationReport(product_ok, True, True, warnings)
     if product_ok:
-        _note_moved(report, fd.g, [act_on_tuple(fd.g, word) for word in words])
+        targets = {w.letters: act_on_tuple(fd.g, w) for w in {w.letters: w for w in words}.values()}
+        _note_moved(report, fd.g, [targets[w.letters] for w in words])
     return report
 
 
@@ -138,18 +140,19 @@ def radon_rank(fd: FundamentalData) -> int:
 def radon_transform(fd: FundamentalData, verify: bool = False) -> RadonResult:
     """Compute the output monodromy tuple in the deterministic flag basis.
 
-    `trafodat` checks the product rule.  Each word moves the tuple once: the
-    targets that `phibar` returns decide `vankampen_ok` and its warnings, as
-    `validate` would.  The rank formula n(r-2) - sum_i dim Fix(g_i) is
-    n(r-1) - m, with m the column count of the condition matrix.
+    `trafodat` checks the product rule.  Each distinct word moves the tuple
+    once, for all its positions: the targets that `phibar` returns decide
+    `vankampen_ok` and its warnings, per position, as `validate` would.  The
+    rank formula n(r-2) - sum_i dim Fix(g_i) is n(r-1) - m, with m the column
+    count of the condition matrix.
     """
     _check_shapes(fd)
     words = fd.words()  # raises StrandOutOfRange on bad letters
     ts = trafodat(fd.g)  # raises ProductNotIdentity
     report = ValidationReport(True, True, True)
-    moved = [phibar(ts, w, verify=verify) for w in words]
-    gtilde = tuple(m for m, _ in moved)
-    _note_moved(report, fd.g, [target for _, target in moved])
+    moves = {w.letters: phibar(ts, w, verify=verify) for w in {w.letters: w for w in words}.values()}
+    gtilde = tuple(moves[w.letters][0] for w in words)
+    _note_moved(report, fd.g, [moves[w.letters][1] for w in words])
 
     rank = ts.n * (ts.r - 1) - ts.conditions.cols
     rank_matches = rank == ts.dim_w

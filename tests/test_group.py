@@ -458,14 +458,20 @@ def test_cyclic_orbit_grows_by_doubling(p, monkeypatch):
     from radonmono.chain import StabilizerChain
 
     points, u, u_inv = _shear_level_by_breadth_first_search(p)
-    keyed = []
-    keys = StabilizerChain._keys
+    keyed, sifted = [], []
+    keys, sift = StabilizerChain._keys, StabilizerChain._sift
 
     def counting_keys(self, vectors):
         keyed.append(len(vectors))
         return keys(self, vectors)
 
+    def counting_sift(self, h, start, h_inv=None):
+        if start > 0 and h_inv is None:  # a batch of Schreier generators
+            sifted.append(len(h))
+        return sift(self, h, start, h_inv)
+
     monkeypatch.setattr(StabilizerChain, "_keys", counting_keys)
+    monkeypatch.setattr(StabilizerChain, "_sift", counting_sift)
     s = np.array([[1, 1], [0, 1]])
     chain = StabilizerChain(p, 2, DEFAULT_CAP, [(s, np.array([[1, p - 1], [0, 1]]))])
     (level,) = chain.levels
@@ -475,6 +481,8 @@ def test_cyclic_orbit_grows_by_doubling(p, monkeypatch):
     assert level.u.tolist() == u and level.u_inv.tolist() == u_inv
     # one key batch per doubling, not one per point
     assert len(keyed) < 3 * p.bit_length()
+    # u_x s = u_{x+1} for every point x but the last, whose Schreier generator is s^p = 1: it alone is sifted
+    assert sifted == [1]
     monkeypatch.undo()
     gen = Matrix.from_ints(FieldSpec.prime(p), [[1, 1], [0, 1]])
     assert modular_group_analysis([gen], [p], cap=p)["derived_series"] == [p, 1]
@@ -1090,3 +1098,55 @@ def test_decomposition_on_the_enlarging_generators(four_lines_doc):
         assert invariant_decomposition(kept) == invariant_decomposition(group), name
         orders.setdefault(name.split("-")[0], set()).add(enum.order)
     assert orders == {"zariski_c": {648}, "fl72": {72}, "fl36": {36}, "zc24": {24}}
+
+
+# -- no derived series after the primes disagree --------------------------------------
+
+
+def _counting_derived_series(monkeypatch):
+    from radonmono import group as group_mod
+
+    built, derived = [], group_mod._derived_series
+    monkeypatch.setattr(group_mod, "_derived_series", lambda chain: built.append(chain.p) or derived(chain))
+    return built
+
+
+def test_disagreeing_orders_build_no_derived_series(monkeypatch, four_lines_result):
+    built = _counting_derived_series(monkeypatch)
+    with pytest.raises(OrderDisagreement, match=r"^primes disagree on order: 24 vs 120$"):
+        modular_group_analysis(list(four_lines_result.gtilde), [3, 5])
+    assert built == []
+
+
+def test_errors_keep_their_order_across_three_primes(monkeypatch):
+    built = _counting_derived_series(monkeypatch)
+    shear = Matrix.from_ints(Q, [[1, 1], [0, 1]])
+    scale = Matrix.diagonal(Q, [Q.from_int(7), Q.from_int(1) / Q.from_int(7)])
+    # every prime's chain comes before any comparison: the bad last prime is reported first
+    with pytest.raises(BadPrime, match=r"^denominator of 1/7 vanishes mod 7$"):
+        modular_group_analysis([shear, scale], [3, 5, 7])
+    with pytest.raises(OrderDisagreement, match=r"^primes disagree on order: 3 vs 20$"):
+        modular_group_analysis([shear, scale], [3, 5, 11])
+    assert built == []
+
+
+def test_agreeing_primes_compare_every_derived_series(monkeypatch, zariski_c_result):
+    built = _counting_derived_series(monkeypatch)
+    result = modular_group_analysis(list(zariski_c_result.gtilde), [7, 13, 19])
+    assert result == {
+        "primes": [7, 13, 19],
+        "order": 648,
+        "scalar_exponents": [0],
+        "derived_series": [648, 216, 54, 27, 3, 1],
+        "solvable": True,
+    }
+    assert built == [7, 13, 19]
+    built.clear()
+    assert modular_group_analysis(list(zariski_c_result.gtilde), [7, 13], with_derived=False)["order"] == 648
+    assert built == []
+
+
+def test_a_cyclic_level_sifts_its_wrap_around_schreier_generator():
+    # e_0 has an orbit of 2 under s, and the wrap-around Schreier generator s^2 = diag(1, 1, 2) has order 3
+    s = Matrix.from_ints(GF7, [[0, 1, 0], [1, 0, 0], [0, 0, 3]])
+    assert closure([s]).order == modular_group_analysis([s], [7], with_derived=False)["order"] == 6

@@ -22,6 +22,7 @@ from radonmono.linalg import (
     intertwiner_space,
     kernel,
     matrix_from_flat,
+    minus_identity,
     rref,
     square_tuple_shape,
     subspace_sum,
@@ -464,3 +465,22 @@ def test_full_echelon_add_does_not_reduce(monkeypatch):
     calls.clear()
     assert partial.add(vector) is False
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.prime(7), FieldSpec.rational(), FieldSpec.cyclotomic(6)])
+def test_minus_identity_changes_only_the_diagonal(spec):
+    rng = random.Random(7)
+    z = spec.gen() if spec.kind == "cyclotomic" else spec.from_int(3)
+    for d in (1, 2, 4):
+        entries = [[spec.from_int(rng.randrange(-4, 5)) + z ** rng.randrange(3) for _ in range(d)] for _ in range(d)]
+        g = Matrix.from_rows(spec, entries)
+        less = minus_identity(g)
+        assert less == g - Matrix.identity(spec, d) and (less.rows, less.cols) == (d, d)
+        # the off-diagonal entries are g's own
+        assert all(less.entries[i][j] is g.entries[i][j] for i in range(d) for j in range(d) if i != j)
+    assert minus_identity(Matrix.zero(spec, 0, 0)) == Matrix.zero(spec, 0, 0)
+    for h in (Matrix.zero(spec, 2, 3), Matrix.zero(spec, 3, 2)):
+        with pytest.raises(ShapeMismatch):
+            h - Matrix.identity(spec, h.rows)
+        with pytest.raises(ShapeMismatch, match="needs a square matrix"):
+            minus_identity(h)

@@ -283,3 +283,48 @@ def test_conductor_bound_refused_before_any_table(monkeypatch, four_lines_doc, m
 def test_conductor_bound_admits_3000(four_lines_doc):
     fd = parse_fundamental_data({**four_lines_doc, "field": {"kind": "cyclotomic", "m": 3000}})
     assert fd.spec == FieldSpec.cyclotomic(3000) and fd.g[0].entries[0][0] == -1
+
+
+# -- each distinct word is moved once ----------------------------------------------
+
+
+@pytest.mark.parametrize("name, calls", [("zariski_c", 9), ("zariski_cprime", 14)])
+def test_each_distinct_word_is_moved_once(monkeypatch, name, calls):
+    from radonmono import radon
+    from radonmono.cli import fixture_path
+
+    fd = radon.load_fundamental_data(fixture_path(name))
+    assert len(fd.omegas) == 18
+    moved, phibar = [], radon.phibar
+    monkeypatch.setattr(radon, "phibar", lambda ts, word, verify=False: moved.append(word) or phibar(ts, word, verify))
+    result = radon_transform(fd)
+    assert len(moved) == len({w.letters for w in moved}) == calls
+    monkeypatch.undo()
+    assert result_to_dict(result) == result_to_dict(radon_transform(fd, verify=True))
+
+
+def test_repeated_words_give_repeated_maps(zariski_c_result):
+    # zariski_c lists its 9 words twice
+    gtilde = zariski_c_result.gtilde
+    assert len(gtilde) == 18 and all(gtilde[k] == gtilde[k + 9] for k in range(9))
+
+
+def test_a_repeated_moving_word_warns_at_each_index(monkeypatch):
+    from radonmono import radon
+
+    gf = FieldSpec.prime(5)
+    a = Matrix.from_ints(gf, [[1, 1], [0, 1]])
+    b = Matrix.from_ints(gf, [[1, 0], [1, 1]])
+    g = (a, b, (a * b).inverse())
+    # b1 moves the tuple; the full twist (b1 b2)^3 conjugates it by its product, 1
+    omegas = tuple(parse_braid(w, 3) for w in ["b1", "(b1 b2)^3", "b1", "b1"])
+    fd = FundamentalData(spec=gf, n=2, r=3, g=g, omegas=omegas)
+    want = [f"braid word {k} does not fix the monodromy tuple" for k in (1, 3, 4)]
+    acted, act = [], radon.act_on_tuple
+    monkeypatch.setattr(radon, "act_on_tuple", lambda mats, word: acted.append(word) or act(mats, word))
+    report = validate(fd)
+    assert not report.vankampen_ok and report.warnings == want
+    assert len(acted) == 2
+    result = radon_transform(fd)
+    assert not result.validation.vankampen_ok and result.validation.warnings[: len(want)] == want
+    assert result.gtilde[0] == result.gtilde[2] == result.gtilde[3]
