@@ -428,19 +428,26 @@ class FieldElement:
         return o * self.inverse()
 
     def __pow__(self, exponent: int):
+        """By squaring, with no square past the exponent's last bit.  A square or partial
+        power that is multiplied again must have no numerator or denominator of more
+        than MAX_DIGITS digits (InputError), so nested powers cannot compound."""
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self
+        base, result = self, None
         if exponent < 0:
-            base = self.inverse()
-            exponent = -exponent
-        result = self.spec.one()
+            base, exponent = self.inverse(), -exponent
         while exponent:
             if exponent & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result._short() * base._short()
             exponent >>= 1
-        return result
+            if exponent:
+                base = base._short() * base
+        return self.spec.one() if result is None else result
+
+    def _short(self) -> "FieldElement":
+        if self.den >= _DIGIT_BOUND or any(abs(c) >= _DIGIT_BOUND for c in self.coeffs):
+            raise InputError(f"a power reaches a number longer than {MAX_DIGITS} digits")
+        return self
 
     # -- identity -------------------------------------------------------------
 

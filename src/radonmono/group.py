@@ -29,9 +29,13 @@ the smallest odd p = 1 mod m (m = 1 over Q) that divides no denominator of
 the tuple, so every entry is p-integral.  Reducing a p-integral matrix can
 only lower its rank, so spin_p <= spin, rank_p <= rank, fixed_p >= fixed
 and End_p >= End >= 1, and a bound at its extreme value is the exact value
-(the Meat-Axe certificate).  A generator of rank d mod p is invertible; a
-standard seed spin of d, `fixed_dim` 0, `moving_dim` d and
-`moving_endomorphism_dim` 1 are read off the bounds.  Only what a bound
+(the Meat-Axe certificate).  A generator of rank d mod p is invertible, and
+`fixed_dim` 0 and `moving_dim` d are read off the bounds.  An exact fixed
+space F and moving summand M are upper bounds in turn: a seed s spins to
+its line if s is in F and else to at most dim M + [s not in M]; F + M = V
+if dim F + dim M = d and their reduced bases have rank d; and M's reduced
+RREF basis times the reduced generators, read at its pivots, is the
+restricted tuple mod p, whose End_p of 1 is exact.  Only what a bound
 leaves open is eliminated exactly, by the same routines as without the
 bounds, so the prime decides how often a bound settles a value and never
 the output.
@@ -50,7 +54,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
@@ -131,7 +135,7 @@ class MatrixGroupGen:
 
     @cached_property
     def _bounds(self) -> "_Bounds":
-        return _Bounds(self.generators)
+        return _Bounds.of(self.generators)
 
 
 def _as_generators(gens) -> MatrixGroupGen:
@@ -406,19 +410,18 @@ def restricted_tuple(gens, space: Subspace) -> list[Matrix]:
 
 
 def invariant_decomposition(gens) -> dict:
-    """Summary of the fixed line / moving summand decomposition by spinning.
+    """Summary of the fixed space F / moving summand M decomposition by spinning.
 
     Each value is first bounded over GF(p) by `_Bounds`, at a prime that
-    divides no denominator of the tuple: spin_p <= spin, fixed_p >= fixed,
-    moving_p <= moving and End_p >= End >= 1.  A bound at its extreme value
-    is the exact value, so a standard seed's spin dim of d, `fixed_dim` 0,
-    `moving_dim` d, `decomposes` when both of those hold, and
-    `moving_endomorphism_dim` 1 cost no exact elimination; nor does a seed
-    whose bound is the dimension of the exact fixed or moving space that
-    contains it.  Every other value comes from the exact routines
-    (`spin`, `fixed_subspace`, `moving_subspace`, `restricted_tuple`,
-    `intertwiner_space`); when 0 < moving < d the restricted tuple is
-    bounded the same way at its own prime.
+    divides no denominator of the tuple; a bound at its extreme value is
+    exact, so `fixed_dim` 0 and `moving_dim` d cost no exact elimination.
+    The exact F and M bound the rest.  A seed s in F spins to its line, and
+    <s> + M is generator-stable (s*g = s + s(g - 1)), so spin(s) <= dim M +
+    [s not in M].  F + M = V when dim F + dim M = d and their bases have rank
+    d mod p.  M's RREF basis B has unit columns at its pivots, so g
+    restricts to B*g read there, and mod p to B_p*g_p when B is p-integral.
+    Only a value a bound leaves open comes from `spin`, `subspace_sum`,
+    `restricted_tuple` (once for both keys) or `intertwiner_space`.
     """
     group = _as_generators(gens)
     d, spec = group.degree, group.spec
@@ -426,48 +429,40 @@ def invariant_decomposition(gens) -> dict:
     p = bounds.p
     less_one = [[[(x - (i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(g)] for g in bounds.mats]
     # fixed_p = d - the rank of the rows of hstack(g - 1); moving_p spins the rows of vstack(g - 1)
-    fixed = fixed_subspace(group) if bounds.rank([sum(rows, []) for rows in zip(*less_one)]) < d else None
-    moving = moving_subspace(group) if bounds.spin([row for g in less_one for row in g]) < d else None
-    fixed_dim = 0 if fixed is None else fixed.dim
-    moving_dim = d if moving is None else moving.dim
-    held = [space for space in (fixed, moving) if space is not None]
-    seed_dims = []
-    for j, seed in enumerate(Matrix.identity(spec, d).entries):
-        bound = bounds.spin([_unit(d, j)])
-        if bound != d and not any(bound == space.dim and space.contains_vector(seed) for space in held):
-            bound = spin(group, seed).dim
-        seed_dims.append(bound)
+    ident = Matrix.identity(spec, d)
+    fixed, moving = Subspace.zero(spec, d), Subspace(spec, d, ident, tuple(range(d)))
+    if bounds.rank([sum(rows, []) for rows in zip(*less_one)]) < d:
+        fixed = fixed_subspace(group)
+    if bounds.spin([row for g in less_one for row in g]) < d:
+        moving = moving_subspace(group)
+    k, seed_dims = moving.dim, []
+    for j, seed in enumerate(ident.entries):
+        upper = 1 if fixed.contains_vector(seed) else k + (not moving.contains_vector(seed))
+        seed_dims.append(upper if upper == 1 or bounds.spin([_unit(d, j)]) == upper else spin(group, seed).dim)
     summary = {
         "standard_seed_spin_dims": seed_dims,
-        "fixed_dim": fixed_dim,
-        "moving_dim": moving_dim,
-        # fixed + moving = V and fixed meets moving in 0: both dims add up to d;
-        # a space settled by its bound is 0 (fixed) or V (moving), and then so is their sum
-        "decomposes": fixed_dim + moving_dim == d
-        and (fixed is None or moving is None or subspace_sum(fixed, moving).dim == d),
+        "fixed_dim": fixed.dim,
+        "moving_dim": k,
+        # F + M = V and F meets M in 0; with dims adding up to d, M = V exactly when F = 0
+        "decomposes": fixed.dim + k == d
+        and (k == d or bounds.rank(bounds.reduce(fixed.basis.entries + moving.basis.entries) or []) == d
+             or subspace_sum(fixed, moving).dim == d),
         "moving_irreducible_by_spinning": None,
         "moving_endomorphism_dim": None,
     }
-    if 0 < moving_dim == d:
-        # the moving space is V: its coordinates are the standard ones, already spun
-        summary["moving_irreducible_by_spinning"] = all(dim == d for dim in seed_dims)
-        summary["moving_endomorphism_dim"] = _endomorphism_dim(group.generators, bounds)
-    elif moving_dim:
-        # spun in the moving space's own coordinates, whose rows are shorter than ambient ones
-        sub = restricted_tuple(group, moving)
-        sub_bounds = _Bounds(sub)
-        summary["moving_irreducible_by_spinning"] = all(
-            sub_bounds.spin([_unit(moving_dim, j)]) == moving_dim
-            or _spin(sub, Subspace.from_rows(spec, moving_dim, [s])).dim == moving_dim
-            for j, s in enumerate(Matrix.identity(spec, moving_dim).entries)
-        )
-        summary["moving_endomorphism_dim"] = _endomorphism_dim(sub, sub_bounds)
-    return summary
-
-
-def _endomorphism_dim(mats: Sequence[Matrix], bounds: "_Bounds") -> int:
+    if not k:
+        return summary
+    # the restricted tuple, formed once and only for a value its bounds leave open; on M = V the seeds are spun
+    sub = cache(lambda: list(group.generators) if k == d else restricted_tuple(group, moving))
+    sub_bounds = bounds if k == d else bounds.restricted(moving) or _Bounds.of(sub())
+    summary["moving_irreducible_by_spinning"] = all(dim == d for dim in seed_dims) if k == d else all(
+        sub_bounds.spin([_unit(k, j)]) == k or _spin(sub(), Subspace.from_rows(spec, k, [s])).dim == k
+        for j, s in enumerate(Matrix.identity(spec, k).entries)
+    )
     # End >= 1 always holds (the scalars), so a bound of 1 is exact
-    return 1 if bounds.endomorphism_dim() == 1 else intertwiner_space(mats, mats).dim
+    end = sub_bounds.endomorphism_dim()
+    summary["moving_endomorphism_dim"] = 1 if end == 1 else intertwiner_space(sub(), sub()).dim
+    return summary
 
 
 def _unit(n: int, j: int) -> list[int]:
@@ -477,10 +472,10 @@ def _unit(n: int, j: int) -> list[int]:
 class _Bounds:
     """A tuple of d x d matrices reduced mod a prime p, and one-sided bounds on exact dimensions.
 
-    Over GF(p) p is the field's own.  Over Q and Q(zeta_m) it is the
-    smallest odd p = 1 mod m (m = 1 over Q) that divides no denominator of
-    an entry, so every entry is p-integral and reduction, with zeta_m sent
-    to `root_of_unity_modp(m, p)`, is a ring map.  Reducing a p-integral
+    `_Bounds.of` picks p: over GF(p) the field's own, over Q and Q(zeta_m)
+    the smallest odd p = 1 mod m (m = 1 over Q) that divides no denominator
+    of an entry, so every entry is p-integral and reduction, with zeta_m sent
+    to `root = root_of_unity_modp(m, p)`, is a ring map.  Reducing a p-integral
     matrix can only lower its rank, so over GF(p) a spin, a rank and a
     kernel dimension bound the exact ones: spin_p <= spin, rank_p <= rank
     and End_p >= End, and a bound at its extreme value is exact (the Meat-Axe
@@ -488,7 +483,13 @@ class _Bounds:
     Theory*, 2005, ch. 7).  Vectors are int lists, eliminated forward only.
     """
 
-    def __init__(self, mats: Sequence[Matrix]):
+    def __init__(self, p: int, root: int | None, mats: list[list[list[int]]]):
+        self.p, self.root, self.mats = p, root, mats
+        self.degree = len(mats[0])
+        self.columns = [list(zip(*g)) for g in mats]
+
+    @classmethod
+    def of(cls, mats: Sequence[Matrix]) -> "_Bounds":
         spec = mats[0].spec
         if spec.kind == "prime":
             p, root = spec.p, None
@@ -500,9 +501,23 @@ class _Bounds:
             while not is_prime(p) or any(den % p == 0 for den in dens):
                 p += step
             root = root_of_unity_modp(m, p)
-        self.p, self.degree = p, mats[0].rows
-        self.mats = [[[reduce_element_modp(e, p, root) for e in row] for row in g.entries] for g in mats]
-        self.columns = [list(zip(*g)) for g in self.mats]
+        return cls(p, root, [[[reduce_element_modp(e, p, root) for e in row] for row in g.entries] for g in mats])
+
+    def reduce(self, rows: Sequence[Sequence[FieldElement]]) -> list[list[int]] | None:
+        """Exact rows mod p, or None when p divides a denominator."""
+        try:
+            return [[reduce_element_modp(e, self.p, self.root) for e in row] for row in rows]
+        except BadPrime:
+            return None
+
+    def restricted(self, space: Subspace) -> "_Bounds | None":
+        """The reduced tuple on a generator-stable subspace, in its basis B; None when B does
+        not reduce.  B has unit columns at its pivots, so g restricts to B*g read there."""
+        basis, p = self.reduce(space.basis.entries), self.p
+        if basis is None:
+            return None
+        mats = [[[sum(map(operator.mul, row, cols[c])) % p for c in space.pivots] for row in basis] for cols in self.columns]
+        return _Bounds(p, self.root, mats)
 
     def _grows(self, echelon: dict[int, list[int]], v: Sequence[int]) -> bool:
         """Reduce v by the rows of `echelon`, each held from its leading one on and keyed

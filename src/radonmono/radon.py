@@ -108,20 +108,21 @@ def _note_moved(report: ValidationReport, g: Sequence[Matrix], targets: Sequence
             report.warnings.append(f"braid word {idx + 1} does not fix the monodromy tuple")
 
 
-def validate(fd: FundamentalData) -> ValidationReport:
+def validate(fd: FundamentalData, act: bool = True) -> ValidationReport:
     """Check the product rule and the stability relations of the braid words.
 
     Shape and strand violations raise; a failing stability relation (the
     tuple not being fixed by some word) only warns, since arbitrary matrix
     tuples need not satisfy the relations that geometric data always do.
-    Each distinct word acts once, and warns at every position it holds.
+    Each distinct word acts once, and warns at every position it holds;
+    with `act` false no word acts, and `vankampen_ok` is left True.
     """
     _check_shapes(fd)
     words = fd.words()  # raises StrandOutOfRange on bad letters
     product_ok = product_of(fd.g).is_identity()
     warnings = [] if product_ok else ["ordered product of the monodromy tuple is not the identity"]
     report = ValidationReport(product_ok, True, True, warnings)
-    if product_ok:
+    if product_ok and act:
         targets = {w.letters: act_on_tuple(fd.g, w) for w in {w.letters: w for w in words}.values()}
         _note_moved(report, fd.g, [targets[w.letters] for w in words])
     return report

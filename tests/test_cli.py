@@ -248,6 +248,55 @@ def test_unreadable_integer_literal_exits_2(tmp_path, capsys, four_lines_doc, ed
         assert _exit_and_stderr(capsys, [command, "--input", str(path)]) == (2, "", f"error: {path}: {message}\n")
 
 
+def test_over_long_element_power_exits_2(tmp_path, capsys, four_lines_doc):
+    # the power is refused while it is built, and the error names the matrix entry
+    path = tmp_path / "power.json"
+    matrices = [[["(1+z)^3000000"]]] + [[["-1"]]] * 3
+    path.write_text(json.dumps({**four_lines_doc, "field": {"kind": "cyclotomic", "m": 6}, "matrices": matrices}))
+    message = "matrices[0][0][0]: a power reaches a number longer than 4300 digits"
+    for command in ("compute", "rank", "check", "group"):
+        assert _exit_and_stderr(capsys, [command, "--input", str(path)]) == (2, "", f"error: {path}: {message}\n")
+
+
+def test_check_moves_each_word_once(monkeypatch, capsys):
+    # four_lines lists 6 distinct words and 3 relations: the transform moves the words, and
+    # only the relations act on the output tuple
+    from radonmono import radon
+
+    calls = {"act_on_tuple": 0, "phibar": 0}
+    for name in calls:
+        function = getattr(radon, name)
+
+        def counted(*args, _name=name, _function=function, **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(radon, name, counted)
+    assert main(["check", "--input", "fixture:four_lines"]) == 0
+    assert calls == {"act_on_tuple": 3, "phibar": 6}
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"product_ok": True, "vankampen_ok": True, "strand_ok": True, "relations_checked": 3, "relations_ok": True}
+
+
+@pytest.mark.parametrize("words_move", [False, True], ids=["constant", "moving-words"])
+def test_check_prints_the_moved_words_but_no_rank_warning(tmp_path, capsys, four_lines_doc, words_move):
+    # the constant system makes the transform warn about the rank formula, which check never prints;
+    # words that move the tuple are warned about by check whether or not relations are listed
+    doc = {**four_lines_doc, "matrices": [[["1"]]] * 4}
+    if words_move:
+        braids = ["b1", *four_lines_doc["braids"][1:]]  # b1 swaps 2 and 1/2
+        doc = {**four_lines_doc, "matrices": [[["2"]], [["1/2"]], [["-1"]], [["-1"]]], "braids": braids}
+    path = tmp_path / "check.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _exit_and_stderr(capsys, ["check", "--input", str(path)])
+    plain_path = tmp_path / "plain.json"
+    plain_path.write_text(json.dumps({k: v for k, v in doc.items() if k != "relations"}))
+    plain = _exit_and_stderr(capsys, ["check", "--input", str(plain_path)])
+    assert code == plain[0] == 0 and err == plain[2]
+    assert "rank formula" not in err and ("does not fix" in err) == words_move
+    assert json.loads(out)["vankampen_ok"] == json.loads(plain[1])["vankampen_ok"] == (not words_move)
+
+
 def test_over_long_json_number_exits_2(tmp_path, capsys, four_lines_doc):
     # json.load raises a plain ValueError, not JSONDecodeError, where int() refuses the number
     path = tmp_path / "n.json"

@@ -406,3 +406,66 @@ if given is not None:
         assert (got.coeffs, got.den) == (want.coeffs, want.den)
         if spec.kind != "prime":
             assert got.den > 0 and gcd(got.den, *got.coeffs) == 1
+
+
+def _counting_products(monkeypatch):
+    calls = [0]
+    multiply = field.FieldElement.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(field.FieldElement, "__mul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text, products",
+    [
+        # 22 exponent bits: (1+z)^(2^15) is the last square, and the partial power
+        # (1+z)^18112 (4321 digits) the first long factor, after 15 squares and 4 products
+        ("(1+z)^3000000", 19),
+        ("(1+z)^" + "9" * 4000, 29),
+        # nested powers are refused at the first long factor, whatever the outer exponent
+        ("((1+z)^100)^100000", 17),
+        ("((1+z)^100)^" + "7" * 4000, 19),
+        # a long power itself is legal, but no product takes it as a factor
+        ("((2)^15000)^2", 19),
+    ],
+    ids=["3e6", "4000-digit", "nested", "nested-4000-digit", "long-power-squared"],
+)
+def test_powers_stop_at_the_digit_bound(monkeypatch, text, products):
+    calls = _counting_products(monkeypatch)
+    with pytest.raises(InputError, match=r"^a power reaches a number longer than 4300 digits$"):
+        parse_element(text, FieldSpec.cyclotomic(6))
+    assert calls[0] == products
+
+
+@pytest.mark.parametrize(
+    "text, exponent, products",
+    [
+        # 15000 has 14 bits, 7 of them set: 13 squares and 6 products
+        ("(2)^15000", 15000, 19),
+        # a single set bit: 14 squares and no product, so the last square (4933 digits) is the power
+        ("(2)^16384", 16384, 14),
+        ("((2)^7500)^2", 15000, 19),
+        ("((2)^15000)^1", 15000, 19),
+        ("(1/2)^-15000", 15000, 19),
+        # the term multiplies its long powers: the digit bound is for the factors of a power
+        ("(2)^15000 * (2)^15000 * (2)^15000", 45000, 59),
+    ],
+    ids=["15000", "16384", "nested", "power-one", "negative", "term"],
+)
+def test_powers_square_no_further_than_the_last_bit(monkeypatch, text, exponent, products):
+    spec = FieldSpec.rational()
+    calls = _counting_products(monkeypatch)
+    assert parse_element(text, spec) == spec.from_fraction(Fraction(2) ** exponent)
+    assert calls[0] == products
+
+
+def test_monomial_powers_are_not_bounded():
+    # z^k and (z)^k never grow, so exponents of any length are read
+    spec = FieldSpec.cyclotomic(6)
+    k = int("7" * 4000)
+    assert parse_element("z^" + "7" * 4000, spec) == parse_element("(z)^" + "7" * 4000, spec) == spec.gen() ** (k % 6)

@@ -19,7 +19,10 @@ The three `group` runs on `gf101_moving_word.json` and `fl72_1113.json` pin
 the exact closure and the invariant decomposition over GF(101) (d = 3, the
 exact closure stops at its cap) and over Q(zeta_6) (d = 2, order 72).  They
 were recorded before matrix products were normalised once per entry and
-before the decomposition stopped early.
+before the decomposition stopped early.  The two `group` runs on
+`zc24_3_7.json` (zariski_c's braid words 3 and 7: a group of order 24 with a
+fixed plane beside a moving plane) were recorded before the exact fixed
+and moving spaces bounded the seed spins, the sum and the restriction.
 """
 
 import contextlib
@@ -68,6 +71,8 @@ GOLDEN = [
     ("group --input data/gf101_moving_word.json --exact --cap 2000", 0, "20c3948600ad2d148c721ec8f194dbb24bffafb718085733747c3326442a1364", "e9bf7e5d38dcc6ce68172537c9f8ec8a96ed06dff66d51238d284b79e183d367"),
     ("group --input data/gf101_moving_word.json", 0, "f7e63cdd7113c4a0f5a6b3a597045e0d88ad7d690abf657e96ef0c315d60924a", "e9bf7e5d38dcc6ce68172537c9f8ec8a96ed06dff66d51238d284b79e183d367"),
     ("group --input data/fl72_1113.json --exact", 0, "aaf6628f457246d449285200d8d6cd28424bc36a54867a8e8e80fd7a3ddfbc33", EMPTY),
+    ("group --input data/zc24_3_7.json", 0, "8c8762d329d8c21a7fcf741356b06f5636eb0c2a61f6cc7d99346641bc26bf89", EMPTY),
+    ("group --input data/zc24_3_7.json --exact", 0, "e2fa10917b04ce81e26c2b1c03866d511995667ab831d040a449d64d797cc898", EMPTY),
 ]
 
 

@@ -28,6 +28,7 @@ from radonmono.group import (
     invariant_decomposition,
     modular_group_analysis,
     moving_subspace,
+    reduce_element_modp,
     reduce_matrix_modp,
     restricted_tuple,
     root_of_unity_modp,
@@ -35,10 +36,11 @@ from radonmono.group import (
     spin_subspace,
 )
 from radonmono.linalg import Matrix, Subspace, intertwiner_space
-from radonmono.radon import parse_fundamental_data, radon_transform
+from radonmono.radon import load_fundamental_data, parse_fundamental_data, radon_transform
 
 Q6 = FieldSpec.cyclotomic(6)
 GF7 = FieldSpec.prime(7)
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def scalar_matrix(spec, value, d):
@@ -994,6 +996,111 @@ def test_decomposition_shortcut_is_taken_and_skipped():
     assert reducible["moving_endomorphism_dim"] == 2
     reflections = invariant_decomposition(reflections_with_fixed_line()[0])
     assert reflections["fixed_dim"] == 1 and reflections["moving_dim"] == 2 and reflections["decomposes"]
+
+
+# -- the exact fixed and moving spaces bound the seeds, the sum and the restriction ------
+
+EXACT_ROUTINES = ("spin", "_spin", "subspace_sum", "restricted_tuple", "intertwiner_space")
+
+
+def _counting_exact_routines(monkeypatch):
+    from radonmono import group as group_module
+
+    calls = dict.fromkeys(EXACT_ROUTINES, 0)
+    for name in EXACT_ROUTINES:
+        function = getattr(group_module, name)
+
+        def counted(*args, _name=name, _function=function, **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(group_module, name, counted)
+    return calls
+
+
+def conjugated_by(gens, rows):
+    """P^-1 g P for the given P; an invariant subspace U of g becomes U*P."""
+    p = Matrix.from_ints(gens[0].spec, rows)
+    return [p.inverse() * g * p for g in gens]
+
+
+RULE_CASES = {
+    # I + N on Q^4 with e1 -> e2 -> e3 -> 0 and e4 -> 0: F = <e3, e4> meets M = <e2, e3>, and
+    # dim F + dim M = 4; e1 spins to <e1> + M, e2 (in M) to M
+    "unipotent_q4": (
+        lambda: [Matrix.from_ints(Q, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])],
+        {"_spin": 2, "subspace_sum": 1, "restricted_tuple": 1, "intertwiner_space": 1},
+    ),
+    # F = <e1> and M = <(1, 3)> span Q^2, but both reduce to <e1> at the bound prime 3
+    "sum_drops_rank_mod_3": (lambda: [Matrix.from_ints(Q, [[1, 0], [1, 4]])], {"_spin": 1, "subspace_sum": 1}),
+    # M = <(1, 1/3)>: its basis does not reduce at 3, so the sum and the restriction are exact
+    "moving_basis_not_3_integral": (
+        lambda: [Matrix.from_ints(Q, [[4, 1], [0, 1]])],
+        {"_spin": 1, "subspace_sum": 1, "restricted_tuple": 1},
+    ),
+    # e1 = f - l1 off the moving plane of two lines spins to a plane, below dim M + 1; the
+    # seeds on the lines spin below dim M
+    "seed_below_its_bound": (
+        lambda: conjugated_by([Matrix.diagonal(GF7, [GF7.from_int(x) for x in (1, 3, 5)])], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+        {"spin": 3, "_spin": 5, "restricted_tuple": 1, "intertwiner_space": 1},
+    ),
+    # e1 = f - l spins to Q^2 = <e1> + M, but diag(1, 4) is 1 mod 3, so its bound there is 1
+    "seed_bound_low_mod_3": (
+        lambda: conjugated_by([Matrix.diagonal(Q, [Q.one(), Q.from_int(4)])], [[1, 1], [0, 1]]),
+        {"spin": 1, "_spin": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CASES))
+def test_decomposition_rules_fire_and_fall_back(monkeypatch, name):
+    make, exact_calls = RULE_CASES[name]
+    gens = make()
+    expected = decomposition_by_restriction(gens)
+    calls = _counting_exact_routines(monkeypatch)
+    assert invariant_decomposition(gens) == expected
+    assert calls == {**dict.fromkeys(EXACT_ROUTINES, 0), **exact_calls}
+
+
+def test_decomposition_rule_cases_cover_each_value():
+    got = {name: invariant_decomposition(make()) for name, (make, _) in RULE_CASES.items()}
+    assert got["unipotent_q4"] == {
+        "standard_seed_spin_dims": [3, 2, 1, 1], "fixed_dim": 2, "moving_dim": 2, "decomposes": False,
+        "moving_irreducible_by_spinning": False, "moving_endomorphism_dim": 2,
+    }
+    assert got["sum_drops_rank_mod_3"]["decomposes"] and got["moving_basis_not_3_integral"]["decomposes"]
+    assert got["seed_below_its_bound"]["standard_seed_spin_dims"] == [2, 1, 1]
+    assert got["seed_bound_low_mod_3"]["standard_seed_spin_dims"] == [2, 1]
+
+
+def zc24_3_7_tuple():
+    """zariski_c's output tuple on its braid words 3 and 7: a fixed plane beside a moving plane."""
+    return list(radon_transform(load_fundamental_data(os.path.join(DATA, "zc24_3_7.json"))).gtilde)
+
+
+@pytest.mark.parametrize("name", [*sorted(RULE_CASES), "zc24_3_7"])
+def test_restricted_bounds_reduce_the_restricted_tuple(name):
+    group = MatrixGroupGen.from_matrices(zc24_3_7_tuple() if name == "zc24_3_7" else RULE_CASES[name][0]())
+    bounds, moving = group._bounds, moving_subspace(group)
+    assert 0 < moving.dim < group.degree
+    reduced = bounds.restricted(moving)
+    if name == "moving_basis_not_3_integral":
+        assert bounds.p == 3 and reduced is None
+    else:
+        exact = restricted_tuple(group, moving)
+        assert reduced.mats == [[[reduce_element_modp(e, bounds.p, bounds.root) for e in row] for row in g.entries] for g in exact]
+
+
+def test_fixed_and_moving_planes_settle_zc24_3_7(monkeypatch):
+    # only M is spun exactly
+    group = MatrixGroupGen.from_matrices(zc24_3_7_tuple())
+    expected = decomposition_by_restriction(list(group.generators))
+    calls = _counting_exact_routines(monkeypatch)
+    assert invariant_decomposition(group) == expected == {
+        "standard_seed_spin_dims": [1, 3, 3, 3], "fixed_dim": 2, "moving_dim": 2, "decomposes": True,
+        "moving_irreducible_by_spinning": True, "moving_endomorphism_dim": 1,
+    }
+    assert calls == {**dict.fromkeys(EXACT_ROUTINES, 0), "_spin": 1}
 
 
 # -- the exact engine against a plain breadth-first closure ---------------------------

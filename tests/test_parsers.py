@@ -96,6 +96,7 @@ ELEMENT_CASES = [
     ('Q(zeta_6)', '1/2*z - 3', '1/2*z - 3'),
     ('Q(zeta_6)', '-z^2 + z - 1', '0'),
     ('Q(zeta_6)', 'z^2-z+1', '0'),
+    ('Q(zeta_6)', '(1+z)^3000000', ('InputError', 'a power reaches a number longer than 4300 digits', None)),
 ]
 
 BRAID_CASES = [
